@@ -101,14 +101,6 @@ fn query_kernels(c: &mut Criterion) {
             black_box(kernel::join_gallop(runs[u as usize], runs[v as usize]))
         })
     });
-    group.bench_function(format!("simd_join_{}", kernel::simd_backend()), |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (u, v) = pairs[i & (PAIRS - 1)];
-            i += 1;
-            black_box(kernel::join_simd(runs[u as usize], runs[v as usize]))
-        })
-    });
     group.bench_function("adaptive_join", |b| {
         let mut i = 0usize;
         b.iter(|| {

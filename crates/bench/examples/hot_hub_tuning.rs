@@ -78,7 +78,6 @@ fn measure(name: &str, g: &CsrGraph) {
     time_join("scalar", &kernel::join_scalar);
     time_join("branchless", &kernel::join_branchless);
     time_join("gallop", &kernel::join_gallop);
-    time_join("simd", &kernel::join_simd);
     time_join("adaptive", &kernel::join_adaptive);
 
     for k in [4u32, 8, 16, 32] {

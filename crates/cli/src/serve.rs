@@ -54,7 +54,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let options = ServeOptions {
         threads: opts.parsed_or("threads", defaults.threads)?,
         max_frame: opts.parsed_or("max-frame", defaults.max_frame)?,
-        ..defaults
     };
     if opts.value("threads").is_some() && options.threads == 0 {
         return Err("--threads must be at least 1".into());

@@ -8,10 +8,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// A snapshot of accumulated communication volumes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommVolume {
     /// Bytes moved by broadcasts (payload size × one, not × receivers —
     /// matching how the paper reports "data broadcast").

@@ -2,13 +2,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::comm::CommVolume;
 use crate::spec::ClusterSpec;
 
 /// Everything measured during one superstep of a distributed run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SuperstepMetrics {
     /// Wall-clock compute time measured on each simulated node (the node's
     /// thread-local busy time for this superstep).
@@ -48,7 +46,7 @@ impl SuperstepMetrics {
 }
 
 /// Aggregate metrics of one distributed run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Name of the algorithm.
     pub algorithm: String,

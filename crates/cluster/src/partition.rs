@@ -6,10 +6,8 @@
 //! parts). This module centralizes that arithmetic so every crate agrees on
 //! who owns what.
 
-use serde::{Deserialize, Serialize};
-
 /// Rank-circular assignment of rank positions (SPT roots) to cluster nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPartition {
     /// Number of cluster nodes (`q`).
     pub nodes: usize,
@@ -64,7 +62,7 @@ impl TaskPartition {
 /// A geometric superstep schedule: superstep `i` covers `base · β^i` rank
 /// positions (§5.1: "if superstep i constructs x SPTs, superstep i+1 will
 /// construct β·x SPTs"). The last superstep is truncated at `n`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuperstepSchedule {
     boundaries: Vec<u32>,
 }

@@ -2,12 +2,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated interconnect, used to convert communication
 /// volumes into modeled time (the classic α-β a.k.a. latency-bandwidth
 /// model: a message of `s` bytes costs `α + s·β`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Per-message latency (α).
     pub latency: Duration,
@@ -67,7 +65,7 @@ impl NetworkModel {
 }
 
 /// Static description of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of compute nodes (`q` in the paper).
     pub nodes: usize,

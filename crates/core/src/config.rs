@@ -1,10 +1,8 @@
 //! Configuration knobs shared by the labeling constructors.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable parameters of the shared-memory constructors. Field names follow
 /// the paper's notation where one exists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabelingConfig {
     /// Number of worker threads (`p` in the paper). `0` means "use all
     /// available parallelism".

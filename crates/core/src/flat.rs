@@ -31,8 +31,6 @@
 //! query identically (asserted by the persistence proptests and the golden
 //! fixture corpus).
 
-use serde::{Deserialize, Serialize};
-
 use chl_graph::types::{Distance, VertexId};
 use chl_ranking::Ranking;
 
@@ -64,7 +62,7 @@ pub trait LabelStorage<'a>: Copy + Sync {
     /// The same run as a plain contiguous slice, when this storage keeps
     /// entries decoded in memory; `None` for streaming encodings. This is
     /// what routes slice-backed storages into the tiered
-    /// branchless/gallop/SIMD join ([`crate::kernel::join_adaptive`]) while
+    /// branchless/gallop/scalar join ([`crate::kernel::join_adaptive`]) while
     /// streaming decoders keep the iterator kernel.
     #[inline]
     fn raw_run(&self, _v: usize, _lo: usize, _hi: usize) -> Option<&'a [LabelEntry]> {
@@ -324,7 +322,7 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     }
 
     /// The merge join behind [`Self::query`] / [`Self::query_with_hub`]:
-    /// slice-backed storages take the tiered branchless/gallop/SIMD kernel,
+    /// slice-backed storages take the tiered branchless/gallop/scalar kernel,
     /// streaming storages keep the iterator join. Both runs must be in
     /// range.
     #[inline]
@@ -889,7 +887,7 @@ impl DistanceOracle for IndexView<'_> {
 /// assert_eq!(flat.query(0, 24), built.index.query(0, 24));
 /// assert_eq!(flat.to_index().unwrap(), built.index);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatIndex {
     offsets: Vec<u64>,
     entries: Vec<LabelEntry>,

@@ -1,8 +1,6 @@
 //! The queryable hub-label index: every vertex's label set plus the ranking
 //! that gives hubs their meaning.
 
-use serde::{Deserialize, Serialize};
-
 use chl_graph::types::{Distance, VertexId};
 use chl_ranking::Ranking;
 
@@ -11,7 +9,7 @@ use crate::labels::{LabelEntry, LabelSet};
 use crate::stats::ConstructionStats;
 
 /// A complete hub labeling of a graph, ready to answer PPSD queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HubLabelIndex {
     labels: Vec<LabelSet>,
     ranking: Ranking,

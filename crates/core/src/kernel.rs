@@ -18,11 +18,6 @@
 //!   of the shorter one; selected when the runs' lengths differ by
 //!   [`GALLOP_FACTOR`] or more (hub vertices carry runs orders of magnitude
 //!   longer than leaf vertices).
-//! * [`join_simd`] — `std::arch` block compare of hub ids (SSE2/AVX2 on
-//!   x86_64, NEON on aarch64; AVX2 behind a memoized runtime probe, the
-//!   rest statically guaranteed by the target), with the distance
-//!   min-reduction kept in the shared scalar accumulator so tie-breaking
-//!   stays bit-identical to the reference join.
 //! * [`join_adaptive`] — the tier selector [`crate::flat::LabelView`] calls
 //!   for every decoded (slice-backed) storage; streaming compressed runs
 //!   keep the iterator kernel.
@@ -55,9 +50,10 @@ use crate::oracle::DistanceOracle;
 /// O(short · log long).
 pub const GALLOP_FACTOR: usize = 16;
 
-/// Minimum longer-run length for the SIMD tier; below this the scalar
-/// branchless loop wins (vector setup cost dominates 1–2 block iterations).
-const SIMD_MIN: usize = 16;
+/// Longer-run length below which [`join_adaptive`] takes the branchless
+/// scan: on runs this short everything is cache-resident, so its
+/// conditional-move loop beats the branchy join's mispredictions.
+const BRANCHLESS_MAX: usize = 16;
 
 /// The running best of a merge join: first (highest-ranked) hub achieving
 /// the strictly minimal `d(u,h) + d(v,h)` seen so far.
@@ -103,10 +99,11 @@ impl Best {
     }
 }
 
-/// The branchless two-pointer core, continuing from an already-accumulated
-/// [`Best`] — shared by [`join_branchless`] and every SIMD tail.
-#[inline(always)]
-fn join_branchless_into(a: &[LabelEntry], b: &[LabelEntry], best: &mut Best) {
+/// Branchless two-pointer merge join over hub-sorted slices. Equivalent to
+/// [`crate::labels::join_sorted_slices`] on every input (both runs sorted
+/// strictly ascending by hub).
+pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+    let mut best = Best::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         // SAFETY: `i < a.len()` holds by the loop condition just checked.
@@ -124,14 +121,6 @@ fn join_branchless_into(a: &[LabelEntry], b: &[LabelEntry], best: &mut Best) {
         i += usize::from(x.hub <= y.hub);
         j += usize::from(y.hub <= x.hub);
     }
-}
-
-/// Branchless two-pointer merge join over hub-sorted slices. Equivalent to
-/// [`crate::labels::join_sorted_slices`] on every input (both runs sorted
-/// strictly ascending by hub).
-pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    let mut best = Best::new();
-    join_branchless_into(a, b, &mut best);
     best.into_option()
 }
 
@@ -194,62 +183,6 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
     best.into_option()
 }
 
-/// SIMD merge join: hub ids of the longer run are compared in blocks
-/// against a broadcast of the shorter run's current hub; the distance
-/// min-reduction runs through the shared scalar accumulator so ordering
-/// and saturation semantics match the reference join exactly. Falls back
-/// to [`join_branchless`] on targets without a vector unit.
-pub fn join_simd(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    join_simd_impl(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    if x86::avx2_available() {
-        // SAFETY: the memoized runtime probe just confirmed AVX2 on this
-        // CPU, which is `join_avx2`'s only requirement.
-        unsafe { x86::join_avx2(a, b) }
-    } else {
-        // SAFETY: SSE2 is part of the x86_64 baseline — every CPU this
-        // `cfg(target_arch = "x86_64")` code can run on has it.
-        unsafe { x86::join_sse2(a, b) }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    arm::join_neon(a, b)
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    join_branchless(a, b)
-}
-
-/// Name of the SIMD backend [`join_simd`] dispatches to on this machine,
-/// for diagnostics and bench labels.
-pub fn simd_backend() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::avx2_available() {
-            "avx2"
-        } else {
-            "sse2"
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        "neon"
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        "scalar"
-    }
-}
-
 /// The tier selector: the merge join [`crate::flat::LabelView`] (and, via
 /// [`crate::labels::join_sorted_slices`], the pointer-per-vertex
 /// [`crate::labels::LabelSet`]) runs for every slice-backed storage.
@@ -258,12 +191,7 @@ pub fn simd_backend() -> &'static str {
 /// runs take the branchless scan (its conditional-move loop beats branch
 /// mispredictions when everything is cache-resident), and medium-and-up
 /// similar-length runs keep the branchy scalar join, whose speculation
-/// overlaps the label-run cache misses. The SIMD block probe stays opt-in
-/// ([`join_simd`]): measured on serving-sized runs it trails the scalar
-/// tiers (gather/unpack setup outweighs the compare throughput at label-run
-/// lengths), so wiring it into the default path would regress the hot path
-/// it exists to speed up — revisit if label runs grow past a few hundred
-/// entries.
+/// overlaps the label-run cache misses.
 #[inline]
 pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
     let (s, l) = if a.len() <= b.len() {
@@ -277,271 +205,10 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
     if l >= s.saturating_mul(GALLOP_FACTOR) {
         return join_gallop(a, b);
     }
-    if l < SIMD_MIN {
+    if l < BRANCHLESS_MAX {
         return join_branchless(a, b);
     }
     join_scalar(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! x86_64 block-compare joins. SSE2 is part of the x86_64 baseline, so
-    //! `join_sse2` needs no detection; AVX2 goes through a memoized
-    //! `is_x86_feature_detected!` probe.
-
-    use std::arch::x86_64::{
-        __m128i, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
-        _mm256_i32gather_epi32, _mm256_movemask_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-        _mm256_xor_si256, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_cmplt_epi32, _mm_loadu_si128,
-        _mm_movemask_ps, _mm_set1_epi32, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
-    };
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    use super::{join_branchless_into, Best};
-    use crate::labels::LabelEntry;
-    use chl_graph::types::Distance;
-
-    /// Memoized AVX2 probe: 0 = not probed, 1 = absent, 2 = present.
-    static AVX2: AtomicU8 = AtomicU8::new(0);
-
-    /// `true` when this CPU supports AVX2 (probed once, then cached).
-    #[inline]
-    pub(super) fn avx2_available() -> bool {
-        // ORDERING: the cached value is a pure function of the CPU — every
-        // racing probe computes and stores the same byte, and no other
-        // memory is published through it, so Relaxed suffices.
-        match AVX2.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let yes = std::arch::is_x86_feature_detected!("avx2");
-                // ORDERING: idempotent memoization of the probe above; all
-                // writers store the identical value.
-                AVX2.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-                yes
-            }
-        }
-    }
-
-    /// Packs the hub ids of the four consecutive 16-byte [`LabelEntry`]
-    /// records at `p` into one vector, lane `k` = hub of entry `k`.
-    ///
-    /// # Safety
-    ///
-    /// `p` must point at four readable, initialized `LabelEntry` records
-    /// (64 bytes).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn hubs4(p: *const LabelEntry) -> __m128i {
-        // SAFETY: the caller guarantees 64 readable bytes at `p`; the loads
-        // are explicitly unaligned, and every bit pattern is a valid i32x4.
-        unsafe {
-            let e0 = _mm_loadu_si128(p.cast::<__m128i>());
-            let e1 = _mm_loadu_si128(p.add(1).cast::<__m128i>());
-            let e2 = _mm_loadu_si128(p.add(2).cast::<__m128i>());
-            let e3 = _mm_loadu_si128(p.add(3).cast::<__m128i>());
-            // Lane 0 of each entry vector is its hub (offset 0 in the
-            // `#[repr(C)]` layout): interleave down to [h0, h1, h2, h3].
-            let lo = _mm_unpacklo_epi32(e0, e1);
-            let hi = _mm_unpacklo_epi32(e2, e3);
-            _mm_unpacklo_epi64(lo, hi)
-        }
-    }
-
-    /// SSE2 block-compare join. The shorter run drives; the longer run's
-    /// hubs are scanned four at a time. SSE2 is part of the x86_64 baseline,
-    /// so despite the `#[target_feature]` attribute (which is what lets the
-    /// intrinsics be called without `unsafe`) this is a safe function:
-    /// callers need no runtime detection.
-    #[target_feature(enable = "sse2")]
-    pub(super) fn join_sse2(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        // Hub ids are unsigned but SSE2 only compares signed lanes: XOR
-        // both sides with the sign bit to turn u32 order into i32 order.
-        let sign = _mm_set1_epi32(i32::MIN);
-        while i < small.len() && j + 4 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 4 <= large.len()` holds by the loop condition,
-            // so four entries starting at index j are readable.
-            let hubs = unsafe { hubs4(large.as_ptr().add(j)) };
-            let probe = _mm_set1_epi32(x.hub as i32);
-            let lt = _mm_cmplt_epi32(_mm_xor_si128(hubs, sign), _mm_xor_si128(probe, sign));
-            let ltm = (_mm_movemask_ps(_mm_castsi128_ps(lt)) as u32) & 0xF;
-            if ltm == 0xF {
-                // The whole block sits below the probe hub: skip it and
-                // retry the same probe against the next block.
-                j += 4;
-                continue;
-            }
-            let eqm =
-                (_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hubs, probe))) as u32) & 0xF;
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..4 set, so
-                // k <= j + 3 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                // Sorted block: lanes below the probe form a prefix.
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        // Whatever the vector loop could not cover (tail of either run)
-        // continues through the scalar core with the accumulated best.
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
-
-    /// AVX2 block-compare join: eight hubs per step, gathered straight out
-    /// of the 16-byte entry stride.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (check [`avx2_available`] first).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn join_avx2(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        let sign = _mm256_set1_epi32(i32::MIN);
-        // Word offsets of the hub field in eight consecutive 16-byte
-        // entries (stride 4 u32 words), for a scale-4 gather.
-        let idx = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
-        while i < small.len() && j + 8 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 8 <= large.len()` by the loop condition, so the
-            // eight gathered u32 words (offsets 0..=28 from entry j, scale
-            // 4) all fall inside the slice; any bit pattern is valid.
-            let hubs =
-                unsafe { _mm256_i32gather_epi32::<4>(large.as_ptr().add(j).cast::<i32>(), idx) };
-            let probe = _mm256_set1_epi32(x.hub as i32);
-            // AVX2 has no cmplt: hub < probe is probe > hub, sign-biased.
-            let lt =
-                _mm256_cmpgt_epi32(_mm256_xor_si256(probe, sign), _mm256_xor_si256(hubs, sign));
-            let ltm = (_mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32) & 0xFF;
-            if ltm == 0xFF {
-                j += 8;
-                continue;
-            }
-            let eqm = (_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(hubs, probe)))
-                as u32)
-                & 0xFF;
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..8 set, so
-                // k <= j + 7 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    //! aarch64 NEON block-compare join. NEON is part of the aarch64
-    //! baseline, so no runtime detection is needed.
-
-    use std::arch::aarch64::{
-        uint32x4_t, vaddvq_u32, vandq_u32, vceqq_u32, vcltq_u32, vdupq_n_u32, vld1q_u32, vld4q_u32,
-    };
-
-    use super::{join_branchless_into, Best};
-    use crate::labels::LabelEntry;
-    use chl_graph::types::Distance;
-
-    /// Lane weights turning an all-ones/all-zeros compare vector into a
-    /// 4-bit mask via horizontal add.
-    const MASK_WEIGHTS: [u32; 4] = [1, 2, 4, 8];
-
-    /// Packs the hub ids of the four consecutive 16-byte [`LabelEntry`]
-    /// records at `p` into one vector, lane `k` = hub of entry `k`.
-    ///
-    /// # Safety
-    ///
-    /// `p` must point at four readable, initialized `LabelEntry` records
-    /// (64 bytes).
-    #[inline]
-    unsafe fn hubs4(p: *const LabelEntry) -> uint32x4_t {
-        // SAFETY: the caller guarantees 64 readable bytes (16 u32 words) at
-        // `p`; vld4q_u32 de-interleaves with stride 4, so field .0 collects
-        // word 0 of each entry — the hub (offset 0 in `#[repr(C)]`).
-        unsafe { vld4q_u32(p.cast::<u32>()).0 }
-    }
-
-    /// Collapses a per-lane all-ones/all-zeros vector into a 4-bit mask.
-    #[inline]
-    fn mask4(v: uint32x4_t) -> u32 {
-        // SAFETY: MASK_WEIGHTS is a 4-element array, so the load reads
-        // exactly 16 valid bytes; the arithmetic intrinsics have no
-        // requirements beyond NEON, which is baseline on aarch64.
-        unsafe { vaddvq_u32(vandq_u32(v, vld1q_u32(MASK_WEIGHTS.as_ptr()))) }
-    }
-
-    /// NEON block-compare join: same structure as the SSE2 variant, with
-    /// native unsigned lane compares.
-    pub(super) fn join_neon(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        while i < small.len() && j + 4 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 4 <= large.len()` holds by the loop condition,
-            // so four entries starting at index j are readable.
-            let hubs = unsafe { hubs4(large.as_ptr().add(j)) };
-            // SAFETY: pure register arithmetic; NEON is statically
-            // guaranteed on aarch64.
-            let (ltm, eqm) = unsafe {
-                let probe = vdupq_n_u32(x.hub);
-                (mask4(vcltq_u32(hubs, probe)), mask4(vceqq_u32(hubs, probe)))
-            };
-            if ltm == 0xF {
-                j += 4;
-                continue;
-            }
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..4 set, so
-                // k <= j + 3 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
 }
 
 /// Read-mostly cache of the top-`k` highest-ranked hubs' full distance
@@ -815,7 +482,6 @@ mod tests {
         let want = reference(a, b);
         assert_eq!(join_branchless(a, b), want, "branchless");
         assert_eq!(join_gallop(a, b), want, "gallop");
-        assert_eq!(join_simd(a, b), want, "simd ({})", simd_backend());
         assert_eq!(join_adaptive(a, b), want, "adaptive");
         assert_eq!(join_sorted_slices(a, b), want, "join_sorted_slices front");
         // Symmetric in the distance (the hub is too — same common set).
@@ -874,8 +540,8 @@ mod tests {
 
     #[test]
     fn block_boundary_lengths_are_covered() {
-        // Exercise vector-loop tails at every small length around the 4- and
-        // 8-lane block sizes.
+        // Exercise every small length on both sides of the branchless
+        // threshold.
         for la in 0..=17usize {
             for lb in 0..=17usize {
                 let a: Vec<LabelEntry> = (0..la)

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use chl_graph::types::{Distance, INFINITY};
 
 /// A single hub label: the hub's rank position and the distance to it.
@@ -22,7 +20,7 @@ use chl_graph::types::{Distance, INFINITY};
 /// validated byte buffer can be reinterpreted in place as `&[LabelEntry]`
 /// without copying. Every bit pattern of the two integer fields is a valid
 /// value, which is what makes that reinterpretation sound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(C)]
 pub struct LabelEntry {
     /// Rank position of the hub (0 = most important vertex).
@@ -48,7 +46,7 @@ impl LabelEntry {
 }
 
 /// The label set of one vertex, kept sorted by hub rank position.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelSet {
     entries: Vec<LabelEntry>,
 }
@@ -60,7 +58,7 @@ pub struct LabelSet {
 /// storage) and [`crate::flat::FlatIndex`] (contiguous CSR storage): both
 /// hold their entries sorted ascending by hub rank position, so the same
 /// join serves either layout. Slice inputs route through the tiered
-/// branchless/gallop/SIMD kernels of [`crate::kernel`] (selected by run
+/// branchless/gallop/scalar kernels of [`crate::kernel`] (selected by run
 /// length); [`join_sorted_iters`] remains the streaming reference the tiers
 /// are differentially tested against, and the kernel streaming label
 /// decoders still use.

@@ -101,8 +101,7 @@
 //! lifecycle from the shell (`chl query --mmap` for the zero-copy path).
 
 // The unsafe surface of this crate lives in persist.rs/mapped.rs (byte
-// reinterpretation and mmap) and kernel.rs (SIMD intrinsics and
-// bounds-elided loads), and every unsafe operation must sit in an explicit
+// reinterpretation and mmap) and kernel.rs (bounds-elided loads), and every unsafe operation must sit in an explicit
 // `unsafe {}` block with its own `// SAFETY:` argument — even inside
 // `unsafe fn`s (enforced by `chl-lint check`).
 #![deny(unsafe_op_in_unsafe_fn)]

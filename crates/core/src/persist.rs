@@ -179,7 +179,6 @@ use std::path::Path;
 
 use chl_graph::types::VertexId;
 use chl_ranking::Ranking;
-use serde::{Deserialize, Serialize};
 
 use crate::flat::{CompressedView, FlatIndex, FlatView, IndexView, ShardView, StorageView};
 use crate::labels::LabelEntry;
@@ -327,7 +326,7 @@ impl fmt::Display for Section {
 /// (`C(zeta, 2) <= shard_count`): a shard owning partition pair `(i, j)`
 /// holds the complete labels of every vertex in partitions `i` and `j`, so
 /// it can answer any query whose two endpoints both land in its owned set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This shard's index in `0..shard_count`.
     pub shard_id: u32,

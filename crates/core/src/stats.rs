@@ -9,10 +9,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-SPT instrumentation record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SptRecord {
     /// Rank position of the SPT's root (the paper's "SPT id").
     pub root_position: u32,
@@ -35,7 +33,7 @@ impl SptRecord {
 }
 
 /// Statistics of one labeling construction run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConstructionStats {
     /// Name of the algorithm that produced the labeling.
     pub algorithm: String,

@@ -1,5 +1,5 @@
 //! Differential property tests for the tiered merge-join kernels and the
-//! hot-hub cache: every tier (branchless, scalar, gallop, SIMD, adaptive)
+//! hot-hub cache: every tier (branchless, scalar, gallop, adaptive)
 //! must return exactly what the streaming reference join returns on
 //! adversarial run shapes — empty and singleton runs, disjoint hub sets,
 //! saturating `Distance::MAX` sums, tie distances, 1:1000 length skew —
@@ -69,7 +69,6 @@ fn assert_tiers_match(a: &[LabelEntry], b: &[LabelEntry]) -> Result<(), TestCase
     prop_assert_eq!(kernel::join_scalar(a, b), expect, "scalar");
     prop_assert_eq!(kernel::join_branchless(a, b), expect, "branchless");
     prop_assert_eq!(kernel::join_gallop(a, b), expect, "gallop");
-    prop_assert_eq!(kernel::join_simd(a, b), expect, "simd");
     prop_assert_eq!(kernel::join_adaptive(a, b), expect, "adaptive");
     // Symmetry: every tier must give the same hub and distance with the
     // sides swapped (gallop swaps internally; the rest merge symmetrically).

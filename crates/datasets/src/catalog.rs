@@ -1,11 +1,9 @@
 //! The dataset catalog: Table 2 of the paper plus the synthetic scaling
 //! policy.
 
-use serde::{Deserialize, Serialize};
-
 /// Topology family of a dataset, the axis along which every qualitative
 //  result in the paper splits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// High-diameter, near-planar, small-degree road network.
     Road,
@@ -14,7 +12,7 @@ pub enum Topology {
 }
 
 /// Identifier of one of the paper's 12 evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum DatasetId {
     /// California road network (DIMACS).
@@ -44,7 +42,7 @@ pub enum DatasetId {
 }
 
 /// Static information about one dataset, as reported in Table 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetInfo {
     /// Dataset identifier.
     pub id: DatasetId,
@@ -202,7 +200,7 @@ impl DatasetId {
 
 /// How aggressively the synthetic stand-ins are scaled down from the real
 /// dataset sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// ~1/20000 of the paper sizes: hundreds of vertices, for unit tests.
     Tiny,

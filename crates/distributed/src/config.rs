@@ -1,9 +1,7 @@
 //! Configuration of the distributed constructors.
 
-use serde::{Deserialize, Serialize};
-
 /// How the simulated nodes of a superstep are executed on the host machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One OS thread per simulated node. Fast wall-clock, but per-node busy
     /// times are distorted once the node count exceeds the physical cores.
@@ -14,7 +12,7 @@ pub enum ExecutionMode {
 }
 
 /// Parameters of the distributed constructors. Names follow the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistributedConfig {
     /// Number of SPTs in the first DGLL superstep.
     pub initial_superstep: usize,

@@ -8,12 +8,10 @@
 //! backward searches (needed for directed hub labels) are as cheap as forward
 //! ones.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{Distance, Edge, VertexId, Weight};
 
 /// Whether a [`CsrGraph`] is undirected or directed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphKind {
     /// Every edge is traversable in both directions; `num_edges` counts each
     /// undirected edge once.
@@ -27,7 +25,7 @@ pub enum GraphKind {
 ///
 /// Construct one through [`crate::GraphBuilder`], a generator in
 /// [`crate::generators`], or one of the readers in [`crate::io`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     kind: GraphKind,
     num_vertices: usize,

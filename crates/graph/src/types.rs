@@ -1,7 +1,5 @@
 //! Fundamental scalar types shared by every crate in the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex. Vertices are always densely numbered `0..n`.
 pub type VertexId = u32;
 
@@ -19,7 +17,7 @@ pub const INFINITY: Distance = u64::MAX;
 
 /// A single weighted edge, as supplied to [`crate::GraphBuilder`] or returned
 /// by iteration helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Source endpoint.
     pub u: VertexId,

@@ -2,10 +2,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Results of evaluating one query mode on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryModeReport {
     /// Mode name ("QLSN", "QFDL", "QDOL").
     pub mode: String,

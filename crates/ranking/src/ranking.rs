@@ -1,6 +1,5 @@
 //! The [`Ranking`] type: a total order on vertices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use chl_graph::{CsrGraph, VertexId};
@@ -43,7 +42,7 @@ impl std::error::Error for RankingError {}
 /// `order[pos] = vertex` and `position[vertex] = pos`, with **position 0 being
 /// the most important vertex**. The labeling algorithms compare importance
 /// millions of times, so `position` lookups are a single array access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ranking {
     order: Vec<VertexId>,
     position: Vec<u32>,

@@ -17,13 +17,13 @@
 //!
 //! [`MAGIC`]: crate::protocol::MAGIC
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
 use chl_graph::types::{VertexId, INFINITY};
 
+use crate::conn::{read_some, State};
 use crate::index::SharedIndex;
-use crate::server::ServerState;
 
 /// Cap on the request head (request line + headers).
 const MAX_HEAD: usize = 8 * 1024;
@@ -34,7 +34,7 @@ pub(crate) fn serve_http(
     mut stream: TcpStream,
     head_start: &[u8],
     shared: &SharedIndex,
-    state: &ServerState,
+    state: &State,
 ) -> std::io::Result<()> {
     let mut head = head_start.to_vec();
     let mut chunk = [0u8; 1024];
@@ -42,22 +42,10 @@ pub(crate) fn serve_http(
         if head.len() > MAX_HEAD {
             return respond(&mut stream, 431, "request header block too large\n");
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client left mid-request
-            Ok(n) => head.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+        let Some(n) = read_some(&mut stream, &mut chunk, state)? else {
+            return Ok(()); // client left mid-request, or shutdown
+        };
+        head.extend_from_slice(chunk.get(..n).unwrap_or_default());
     }
 
     let text = String::from_utf8_lossy(&head);

@@ -165,21 +165,15 @@ impl LoadedIndex {
         self.backend.view().path(u, v)
     }
 
-    /// Shard-honesty check for one query: the first **in-range** endpoint
-    /// this shard does not own, or `None` when the query is answerable here
-    /// (including on a whole index, and including out-of-range ids, which
-    /// are data — unreachable — on every server).
-    pub fn foreign_endpoint(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
+    /// Shard-honesty check: the first **in-range** id of `ids` this shard
+    /// does not own, or `None` when every id is answerable here (including
+    /// on a whole index, and including out-of-range ids, which are data —
+    /// unreachable — on every server).
+    pub fn foreign(&self, ids: impl IntoIterator<Item = VertexId>) -> Option<VertexId> {
         let shard = self.shard()?;
         let n = self.num_vertices();
-        let foreign = |id: VertexId| (id as usize) < n && !shard.owns(id);
-        if foreign(u) {
-            Some(u)
-        } else if foreign(v) {
-            Some(v)
-        } else {
-            None
-        }
+        ids.into_iter()
+            .find(|&id| (id as usize) < n && !shard.owns(id))
     }
 }
 

@@ -3,7 +3,7 @@
 //! The rest of the workspace builds and persists hub labelings; this crate
 //! keeps one loaded and answers queries over TCP until told to stop —
 //! turning the one-shot `chl query` process launch into a measurable
-//! service. Four pieces:
+//! service. The pieces:
 //!
 //! * [`protocol`] — the length-prefixed binary wire format (typed error
 //!   frames, pipelining-friendly in-order responses) plus the preamble that
@@ -13,13 +13,16 @@
 //!   behind `RwLock<Arc<..>>`, with validate-then-swap reloads that never
 //!   drop in-flight requests and never replace a serving index with a
 //!   corrupt file.
-//! * [`server`] — acceptor + worker pool; each worker coalesces the QUERY
-//!   frames a connection pipelined into one batched
-//!   [`DistanceOracle::distances`] call over the current snapshot.
-//! * [`router`] — the `chl route` scatter-gather tier in front of a cluster
-//!   of shard servers (one `.chl` v3 shard file each): same client protocol
-//!   on both sides, per-query QDOL placement, typed per-frame degradation
-//!   when a backend dies.
+//! * [`conn`] — the connection core both processes run: acceptor, worker
+//!   pool, preamble sniff, framing, QUERY-run batching, stats and shutdown,
+//!   generic over a [`conn::FrameHandler`] (static dispatch).
+//! * [`server`] — the `chl serve` handler: each QUERY run the core collects
+//!   is one batched [`DistanceOracle::distances`] call over the current
+//!   [`SharedIndex`] snapshot; non-protocol connections get [`http`].
+//! * [`router`] — the `chl route` handler, a scatter-gather tier in front of
+//!   a cluster of shard servers (one `.chl` v3 shard file each): same client
+//!   protocol on both sides, per-query QDOL placement, typed per-frame
+//!   degradation when a backend dies.
 //! * [`client`] / [`loadgen`] — a blocking protocol client and the
 //!   `chl bench-serve` engine reporting throughput and p50/p99/p999.
 //!
@@ -41,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod conn;
 pub mod http;
 pub mod index;
 pub mod loadgen;
@@ -49,11 +53,9 @@ pub mod router;
 pub mod server;
 
 pub use client::{Client, ClientError};
+pub use conn::{Handle, ServeOptions, StatsSnapshot};
 pub use index::{LoadedIndex, SharedIndex};
 pub use loadgen::{run_bench, BenchOptions, BenchSummary};
 pub use protocol::{ErrorCode, Request, Response, ServerInfo};
-pub use router::{
-    ClusterView, Router, RouterError, RouterHandle, RouterOptions, RouterStatsSnapshot,
-    SpawnedRouter,
-};
-pub use server::{ServeOptions, Server, ServerHandle, SpawnedServer, StatsSnapshot};
+pub use router::{ClusterView, Router, RouterError, RouterOptions, SpawnedRouter};
+pub use server::{Server, SpawnedServer};

@@ -35,31 +35,21 @@
 //! generation); RELOAD fans out to every shard in shard order and reports
 //! the first failure (reloads are not atomic across shards); SHUTDOWN stops
 //! the router only, never the backends.
+//!
+//! Sockets, framing and shutdown live in the connection core
+//! ([`crate::conn`]); this module is the router's frame handler plus its
+//! plain-text status page for non-protocol connections.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use chl_graph::types::{Distance, VertexId};
 use chl_query::QdolShardMap;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{
-    decode_request, encode_response, ErrorCode, FrameBuffer, Request, Response, ServerInfo,
-    WireError, DEFAULT_MAX_FRAME, MAGIC,
-};
-
-/// How often the nonblocking acceptor polls for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Read timeout on client connections; each expiry re-checks shutdown.
-const READ_POLL: Duration = Duration::from_millis(50);
-/// Upper bound on one blocked client write before the connection is dead.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Per-read chunk size, matching the shard servers.
-const READ_CHUNK: usize = 64 * 1024;
+use crate::conn::{out_of_range, FrameHandler, Reply, ServeOptions, Service, State, Stats};
+use crate::protocol::{ErrorCode, Response, ServerInfo, DEFAULT_MAX_FRAME};
 
 /// Tunables for one router instance.
 #[derive(Debug, Clone)]
@@ -247,158 +237,11 @@ impl ClusterView {
     }
 }
 
-/// Monotonic routing counters; same relaxed-statistics discipline as
-/// [`crate::server::ServeStats`].
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    connections: AtomicU64,
-    http_requests: AtomicU64,
-    frames: AtomicU64,
-    queries: AtomicU64,
-    forwarded_frames: AtomicU64,
-    fanout_frames: AtomicU64,
-    shard_errors: AtomicU64,
-    error_frames: AtomicU64,
-    reloads: AtomicU64,
-}
+/// A bound-but-not-yet-running router in front of a validated cluster.
+pub type Router = Service<RouteHandler>;
 
-/// One coherent-enough copy of the router counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterStatsSnapshot {
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Non-protocol (HTTP) connections answered with the status page.
-    pub http_requests: u64,
-    /// Client request frames decoded.
-    pub frames: u64,
-    /// Individual distance queries placed on backends.
-    pub queries: u64,
-    /// QUERY frames forwarded (whether or not they fanned out).
-    pub forwarded_frames: u64,
-    /// QUERY frames that spanned shards and genuinely fanned out.
-    pub fanout_frames: u64,
-    /// Frames that failed because a backend was unavailable or answered a
-    /// typed error.
-    pub shard_errors: u64,
-    /// Typed error frames sent to clients (all causes).
-    pub error_frames: u64,
-    /// Successful cluster-wide reload fan-outs.
-    pub reloads: u64,
-}
-
-impl RouterStats {
-    fn add(counter: &AtomicU64, n: u64) {
-        // ORDERING: independent monotonic statistics counter; nothing
-        // synchronizes through it.
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Copies every counter. Individually exact; mutually unordered.
-    pub fn snapshot(&self) -> RouterStatsSnapshot {
-        // ORDERING: statistics reads; see `add`.
-        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        RouterStatsSnapshot {
-            connections: get(&self.connections),
-            http_requests: get(&self.http_requests),
-            frames: get(&self.frames),
-            queries: get(&self.queries),
-            forwarded_frames: get(&self.forwarded_frames),
-            fanout_frames: get(&self.fanout_frames),
-            shard_errors: get(&self.shard_errors),
-            error_frames: get(&self.error_frames),
-            reloads: get(&self.reloads),
-        }
-    }
-}
-
-/// State shared by the acceptor, workers, and external handles.
-#[derive(Debug)]
-pub struct RouterState {
-    shutdown: AtomicBool,
-    stats: RouterStats,
-}
-
-impl RouterState {
-    /// `true` once shutdown was requested (protocol frame or handle).
-    pub fn is_shutdown(&self) -> bool {
-        // ORDERING: latch flag; a stale read costs one poll interval.
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    fn request_shutdown(&self) {
-        // ORDERING: see is_shutdown — monotonic latch, no data published.
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-/// A cloneable remote control for a bound router: shutdown + stats.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-}
-
-impl RouterHandle {
-    /// The address the router actually listens on (resolves `:0` binds).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests a graceful stop of the router (backends keep running).
-    pub fn signal_shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// `true` once shutdown was requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.is_shutdown()
-    }
-
-    /// Current routing counters.
-    pub fn stats(&self) -> RouterStatsSnapshot {
-        self.state.stats.snapshot()
-    }
-}
-
-/// A bound-but-not-yet-running router.
-#[derive(Debug)]
-pub struct Router {
-    listener: TcpListener,
-    cluster: Arc<ClusterView>,
-    opts: RouterOptions,
-    state: Arc<RouterState>,
-    addr: SocketAddr,
-}
-
-/// A router running on its own thread, as spawned by [`Router::spawn`].
-#[derive(Debug)]
-pub struct SpawnedRouter {
-    handle: RouterHandle,
-    join: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl SpawnedRouter {
-    /// The remote control (addr, shutdown, stats).
-    pub fn handle(&self) -> &RouterHandle {
-        &self.handle
-    }
-
-    /// Signals shutdown and waits for the routing thread to exit, returning
-    /// the final counters.
-    pub fn shutdown(self) -> std::io::Result<RouterStatsSnapshot> {
-        self.handle.signal_shutdown();
-        self.join()
-    }
-
-    /// Waits for the router to exit on its own (e.g. a protocol SHUTDOWN
-    /// frame), returning the final counters.
-    pub fn join(self) -> std::io::Result<RouterStatsSnapshot> {
-        match self.join.join() {
-            Ok(result) => result.map(|()| self.handle.stats()),
-            Err(_) => Err(std::io::Error::other("router thread panicked")),
-        }
-    }
-}
+/// A router running on its own thread, as spawned by [`Service::spawn`].
+pub type SpawnedRouter = crate::conn::Spawned;
 
 impl Router {
     /// Binds `addr` (use port 0 for an ephemeral port) in front of a
@@ -408,138 +251,83 @@ impl Router {
         cluster: ClusterView,
         opts: RouterOptions,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Router {
-            listener,
-            cluster: Arc::new(cluster),
-            opts: RouterOptions {
-                threads: opts.threads.max(1),
-                max_frame: opts.max_frame,
-                backend_timeout: opts.backend_timeout,
-            },
-            state: Arc::new(RouterState {
-                shutdown: AtomicBool::new(false),
-                stats: RouterStats::default(),
-            }),
-            addr,
-        })
-    }
-
-    /// The bound address (resolves `:0` to the ephemeral port picked).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// A remote control usable from other threads while [`Router::run`]
-    /// blocks this one.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            addr: self.addr,
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Runs acceptor + workers on the calling thread until shutdown is
-    /// requested, then drains and joins the workers.
-    pub fn run(self) -> std::io::Result<()> {
-        let Router {
-            listener,
+        let handler = RouteHandler {
             cluster,
-            opts,
-            state,
-            addr: _,
-        } = self;
-        listener.set_nonblocking(true)?;
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(opts.threads);
-        for i in 0..opts.threads {
-            let rx = Arc::clone(&rx);
-            let cluster = Arc::clone(&cluster);
-            let state = Arc::clone(&state);
-            let opts = opts.clone();
-            let worker = std::thread::Builder::new()
-                .name(format!("chl-route-{i}"))
-                .spawn(move || worker_loop(&rx, &cluster, &opts, &state))?;
-            workers.push(worker);
-        }
-
-        while !state.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    RouterStats::add(&state.stats.connections, 1);
-                    if tx.send(stream).is_err() {
-                        break; // all workers gone (cannot happen before shutdown)
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure: back off instead of dying.
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-
-        drop(tx);
-        for worker in workers {
-            if worker.join().is_err() {
-                return Err(std::io::Error::other("route worker panicked"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Moves the router onto a background thread; the returned handle
-    /// controls and observes it.
-    pub fn spawn(self) -> std::io::Result<SpawnedRouter> {
-        let handle = self.handle();
-        let join = std::thread::Builder::new()
-            .name("chl-route-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(SpawnedRouter { handle, join })
+            backend_timeout: opts.backend_timeout,
+        };
+        let core = ServeOptions {
+            threads: opts.threads,
+            max_frame: opts.max_frame,
+        };
+        Service::bind_with(addr, handler, core)
     }
 }
 
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-) {
+/// The [`FrameHandler`] of `chl route`: scatters over the [`ClusterView`]
+/// through each worker's [`BackendPool`].
+#[derive(Debug)]
+pub struct RouteHandler {
+    cluster: ClusterView,
+    backend_timeout: Duration,
+}
+
+impl FrameHandler for RouteHandler {
     // Each worker owns its backend connections: no cross-worker locking on
     // the hot path, and a backend failure on one worker never poisons the
     // others' connections.
-    let mut pool = BackendPool::new(cluster, opts.backend_timeout);
-    loop {
-        let next = {
-            let guard = match rx.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.recv_timeout(READ_POLL)
-        };
-        match next {
-            Ok(stream) => {
-                let _ = route_connection(stream, &mut pool, cluster, opts, state);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if state.is_shutdown() {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+    type Worker = BackendPool;
+    const ROLE: &'static str = "route";
+
+    fn worker(&self) -> BackendPool {
+        BackendPool::new(&self.cluster, self.backend_timeout)
+    }
+
+    fn queries(
+        &self,
+        pool: &mut BackendPool,
+        run: &[Vec<(VertexId, VertexId)>],
+        reply: &mut Reply<'_>,
+    ) {
+        route_query_run(run, pool, self.cluster.map(), reply);
+    }
+
+    fn path(&self, pool: &mut BackendPool, u: VertexId, v: VertexId, reply: &mut Reply<'_>) {
+        route_path(u, v, pool, self.cluster.map(), reply);
+    }
+
+    fn matrix(
+        &self,
+        pool: &mut BackendPool,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        reply: &mut Reply<'_>,
+    ) {
+        route_matrix(sources, targets, pool, self.cluster.map(), reply);
+    }
+
+    fn info(&self, pool: &mut BackendPool, stats: &Stats) -> Response {
+        aggregate_info(pool, &self.cluster, stats)
+    }
+
+    fn reload(&self, pool: &mut BackendPool, stats: &Stats) -> Response {
+        fan_out_reload(pool, &self.cluster, stats)
+    }
+
+    /// The router has no reload generation of its own; SHUTDOWN acks 0 and
+    /// stops the router only — stopping backends is their operator's call.
+    fn generation(&self) -> u64 {
+        0
+    }
+
+    fn non_protocol(&self, stream: TcpStream, _head: &[u8], _: &State) -> std::io::Result<()> {
+        route_status_page(stream, &self.cluster)
     }
 }
 
 /// One worker's lazily connected backend clients, indexed by shard id.
-struct BackendPool<'a> {
-    cluster: &'a ClusterView,
+#[derive(Debug)]
+pub struct BackendPool {
+    addrs: Vec<String>,
     conns: Vec<Option<Client>>,
     timeout: Duration,
 }
@@ -556,11 +344,11 @@ enum BackendFailure {
     },
 }
 
-impl<'a> BackendPool<'a> {
-    fn new(cluster: &'a ClusterView, timeout: Duration) -> Self {
+impl BackendPool {
+    fn new(cluster: &ClusterView, timeout: Duration) -> Self {
         BackendPool {
+            addrs: cluster.addr_of_shard.clone(),
             conns: (0..cluster.shard_count()).map(|_| None).collect(),
-            cluster,
             timeout,
         }
     }
@@ -569,7 +357,7 @@ impl<'a> BackendPool<'a> {
         if let Some(Some(conn)) = self.conns.get_mut(shard).map(Option::take) {
             return Some(conn);
         }
-        let addr = self.cluster.addr_of_shard(shard)?;
+        let addr = self.addrs.get(shard)?;
         let mut conn = Client::connect(addr).ok()?;
         conn.set_timeout(Some(self.timeout)).ok()?;
         Some(conn)
@@ -640,116 +428,6 @@ fn backend_failure_response(shard: usize, failure: &BackendFailure) -> Response 
     }
 }
 
-/// Outcome of processing one flush of client frames.
-enum Disposition {
-    /// Keep reading from this connection.
-    Continue,
-    /// Close and stop the router (SHUTDOWN frame acknowledged). Backends
-    /// keep running — stopping them is their operator's call.
-    ShutdownRouter,
-}
-
-fn route_connection(
-    mut stream: TcpStream,
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-
-    // Preamble: 4 bytes decide binary protocol vs the status page.
-    let mut head = Vec::with_capacity(4);
-    let mut chunk = vec![0u8; READ_CHUNK];
-    while head.len() < 4 {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // silent connect-and-close
-            Ok(n) => head.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if would_block(&e) => {
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if head.get(..4) != Some(MAGIC.as_slice()) {
-        RouterStats::add(&state.stats.http_requests, 1);
-        return route_status_page(stream, cluster);
-    }
-
-    let mut fb = FrameBuffer::new(opts.max_frame);
-    fb.extend(head.get(4..).unwrap_or_default());
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    loop {
-        loop {
-            match fb.next_payload() {
-                Ok(Some(payload)) => payloads.push(payload),
-                Ok(None) => break,
-                Err(wire) => {
-                    // Oversized declared length: answer typed, then close.
-                    let mut out = Vec::new();
-                    if !payloads.is_empty() {
-                        route_frames(&payloads, pool, cluster, opts, state, &mut out);
-                        payloads.clear();
-                    }
-                    encode_response(&wire_error_response(&wire), &mut out);
-                    RouterStats::add(&state.stats.error_frames, 1);
-                    let _ = stream.write_all(&out);
-                    return Ok(());
-                }
-            }
-        }
-        if !payloads.is_empty() {
-            let mut out = Vec::new();
-            let disposition = route_frames(&payloads, pool, cluster, opts, state, &mut out);
-            payloads.clear();
-            stream.write_all(&out)?;
-            match disposition {
-                Disposition::Continue => {}
-                Disposition::ShutdownRouter => {
-                    state.request_shutdown();
-                    return Ok(());
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => fb.extend(chunk.get(..n).unwrap_or_default()),
-            Err(e) if would_block(&e) => {
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn wire_error_response(wire: &WireError) -> Response {
-    let code = match wire {
-        WireError::Oversized { .. } => ErrorCode::Oversized,
-        WireError::UnknownOpcode(_) => ErrorCode::UnknownOpcode,
-        WireError::Truncated | WireError::TrailingBytes => ErrorCode::Malformed,
-    };
-    Response::Error {
-        code,
-        detail: 0,
-        message: wire.to_string(),
-    }
-}
-
 /// Minimal plain-text status for non-protocol (curl) connections; the real
 /// HTTP query adapter lives on the shard servers.
 fn route_status_page(mut stream: TcpStream, cluster: &ClusterView) -> std::io::Result<()> {
@@ -765,68 +443,6 @@ fn route_status_page(mut stream: TcpStream, cluster: &ClusterView) -> std::io::R
         body.len()
     );
     stream.write_all(response.as_bytes())
-}
-
-/// Answers every frame of one flush in order, coalescing contiguous QUERY
-/// runs so each backend sees one pipelined write per run.
-fn route_frames(
-    payloads: &[Vec<u8>],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-    out: &mut Vec<u8>,
-) -> Disposition {
-    RouterStats::add(&state.stats.frames, payloads.len() as u64);
-    let mut iter = payloads.iter().peekable();
-    while let Some(payload) = iter.next() {
-        match decode_request(payload) {
-            Ok(Request::Query(first)) => {
-                let mut run: Vec<Vec<(VertexId, VertexId)>> = vec![first];
-                while let Some(next) = iter.peek() {
-                    match decode_request(next) {
-                        Ok(Request::Query(pairs)) => {
-                            run.push(pairs);
-                            iter.next();
-                        }
-                        _ => break,
-                    }
-                }
-                route_query_run(&run, pool, cluster, state, out);
-            }
-            Ok(Request::Path(u, v)) => {
-                route_path(u, v, pool, cluster, state, out);
-            }
-            Ok(Request::Matrix { sources, targets }) => {
-                route_matrix(&sources, &targets, pool, cluster, opts, state, out);
-            }
-            Ok(Request::Info) => {
-                let resp = aggregate_info(pool, cluster);
-                if matches!(resp, Response::Error { .. }) {
-                    RouterStats::add(&state.stats.error_frames, 1);
-                }
-                encode_response(&resp, out);
-            }
-            Ok(Request::Reload) => {
-                let resp = fan_out_reload(pool, cluster);
-                match resp {
-                    Response::Ok { .. } => RouterStats::add(&state.stats.reloads, 1),
-                    _ => RouterStats::add(&state.stats.error_frames, 1),
-                }
-                encode_response(&resp, out);
-            }
-            Ok(Request::Shutdown) => {
-                // The router has no reload generation of its own; 0 here.
-                encode_response(&Response::Ok { generation: 0 }, out);
-                return Disposition::ShutdownRouter;
-            }
-            Err(wire) => {
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&wire_error_response(&wire), out);
-            }
-        }
-    }
-    Disposition::Continue
 }
 
 /// What one [`ShardGroup`] came back as: distances, or an error frame to
@@ -864,12 +480,11 @@ enum FrameDisp {
 ///   the message.
 fn route_query_run(
     run: &[Vec<(VertexId, VertexId)>],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    state: &RouterState,
-    out: &mut Vec<u8>,
+    pool: &mut BackendPool,
+    map: &QdolShardMap,
+    reply: &mut Reply<'_>,
 ) {
-    let map = cluster.map();
+    let stats = reply.stats();
     let n = map.num_vertices();
 
     let mut disps: Vec<FrameDisp> = Vec::with_capacity(run.len());
@@ -878,16 +493,8 @@ fn route_query_run(
     for (fi, pairs) in run.iter().enumerate() {
         // Same scan order and message as a whole-index server, so clients
         // cannot tell the router from a single process on bad input.
-        let bad = pairs
-            .iter()
-            .find(|&&(u, v)| u as usize >= n || v as usize >= n)
-            .map(|&(u, v)| if (u as usize) < n { v } else { u });
-        if let Some(id) = bad {
-            disps.push(FrameDisp::Local(Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            }));
+        if let Some(error) = out_of_range(pairs.iter().flat_map(|&(u, v)| [u, v]), n) {
+            disps.push(FrameDisp::Local(error));
             continue;
         }
         if pairs.is_empty() {
@@ -909,10 +516,10 @@ fn route_query_run(
                 }),
             }
         }
-        RouterStats::add(&state.stats.forwarded_frames, 1);
-        RouterStats::add(&state.stats.queries, pairs.len() as u64);
+        stats.forwarded_frames.add(1);
+        stats.queries.add(pairs.len() as u64);
         if groups.len() > 1 {
-            RouterStats::add(&state.stats.fanout_frames, 1);
+            stats.fanout_frames.add(1);
         }
         for (gi, group) in groups.iter().enumerate() {
             if let Some(work) = per_shard.get_mut(group.shard) {
@@ -951,7 +558,7 @@ fn route_query_run(
                     let entry = match answer {
                         Ok(ds) => Ok(ds),
                         Err((code, detail)) => {
-                            RouterStats::add(&state.stats.shard_errors, 1);
+                            stats.shard_errors.add(1);
                             Err(Response::Error {
                                 code,
                                 detail,
@@ -967,7 +574,7 @@ fn route_query_run(
             // A response-count mismatch means the conversation desynced;
             // treat it like a dead backend for these frames.
             Ok(_) => {
-                RouterStats::add(&state.stats.shard_errors, work.len() as u64);
+                stats.shard_errors.add(work.len() as u64);
                 for &(fi, gi) in work {
                     if let Some(slot) = outcomes.get_mut(fi).and_then(|o| o.get_mut(gi)) {
                         *slot = Some(Err(shard_unavailable_response(shard)));
@@ -975,7 +582,7 @@ fn route_query_run(
                 }
             }
             Err(failure) => {
-                RouterStats::add(&state.stats.shard_errors, work.len() as u64);
+                stats.shard_errors.add(work.len() as u64);
                 let resp = backend_failure_response(shard, &failure);
                 for &(fi, gi) in work {
                     if let Some(slot) = outcomes.get_mut(fi).and_then(|o| o.get_mut(gi)) {
@@ -989,12 +596,7 @@ fn route_query_run(
     // Gather: emit one response per frame, in request order.
     for (disp, frame_outcomes) in disps.into_iter().zip(outcomes) {
         match disp {
-            FrameDisp::Local(resp) => {
-                if matches!(resp, Response::Error { .. }) {
-                    RouterStats::add(&state.stats.error_frames, 1);
-                }
-                encode_response(&resp, out);
-            }
+            FrameDisp::Local(resp) => reply.send(&resp),
             FrameDisp::Placed { groups, num_pairs } => {
                 let mut distances = vec![0u64; num_pairs];
                 let mut failure: Option<Response> = None;
@@ -1016,16 +618,17 @@ fn route_query_run(
                         }
                     }
                 }
-                match failure {
-                    Some(resp) => {
-                        RouterStats::add(&state.stats.error_frames, 1);
-                        encode_response(&resp, out);
-                    }
-                    None => encode_response(&Response::Distances(distances), out),
-                }
+                reply.send(&failure.unwrap_or(Response::Distances(distances)));
             }
         }
     }
+}
+
+/// Sends the error frame of one client frame that failed on a backend,
+/// counted in `shard_errors`.
+fn send_shard_failure(reply: &mut Reply<'_>, response: &Response) {
+    reply.stats().shard_errors.add(1);
+    reply.send(response);
 }
 
 /// Routes one PATH frame to the shard owning the pair (QDOL guarantees one
@@ -1035,35 +638,19 @@ fn route_query_run(
 fn route_path(
     u: VertexId,
     v: VertexId,
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    state: &RouterState,
-    out: &mut Vec<u8>,
+    pool: &mut BackendPool,
+    map: &QdolShardMap,
+    reply: &mut Reply<'_>,
 ) {
-    let map = cluster.map();
-    let n = map.num_vertices();
-    if let Some(id) = [u, v].into_iter().find(|&id| id as usize >= n) {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            },
-            out,
-        );
-        return;
+    if let Some(error) = out_of_range([u, v], map.num_vertices()) {
+        return reply.send(&error);
     }
-    RouterStats::add(&state.stats.forwarded_frames, 1);
-    RouterStats::add(&state.stats.queries, 1);
+    reply.stats().forwarded_frames.add(1);
+    reply.stats().queries.add(1);
     let shard = map.shard_for_query(u, v);
     match pool.call(shard, |client| client.path(u, v)) {
-        Ok(vertices) => encode_response(&Response::Path(vertices), out),
-        Err(failure) => {
-            RouterStats::add(&state.stats.shard_errors, 1);
-            RouterStats::add(&state.stats.error_frames, 1);
-            encode_response(&backend_failure_response(shard, &failure), out);
-        }
+        Ok(vertices) => reply.send(&Response::Path(vertices)),
+        Err(failure) => send_shard_failure(reply, &backend_failure_response(shard, &failure)),
     }
 }
 
@@ -1078,48 +665,21 @@ fn route_path(
 fn route_matrix(
     sources: &[VertexId],
     targets: &[VertexId],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-    out: &mut Vec<u8>,
+    pool: &mut BackendPool,
+    map: &QdolShardMap,
+    reply: &mut Reply<'_>,
 ) {
-    let map = cluster.map();
-    let n = map.num_vertices();
-    if let Some(&id) = sources.iter().chain(targets).find(|&&id| id as usize >= n) {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            },
-            out,
-        );
-        return;
+    if let Some(error) = out_of_range(sources.iter().chain(targets).copied(), map.num_vertices()) {
+        return reply.send(&error);
     }
     let cells = sources.len() * targets.len();
-    let payload = 1 + 4 + 8 * cells;
-    if payload > opts.max_frame as usize {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::Oversized,
-                detail: cells as u64,
-                message: format!(
-                    "matrix of {cells} cells exceeds the {}-byte frame cap",
-                    opts.max_frame
-                ),
-            },
-            out,
-        );
+    if !reply.matrix_fits(cells) {
         return;
     }
-    RouterStats::add(&state.stats.forwarded_frames, 1);
-    RouterStats::add(&state.stats.queries, cells as u64);
+    reply.stats().forwarded_frames.add(1);
+    reply.stats().queries.add(cells as u64);
     if cells == 0 {
-        encode_response(&Response::Matrix(Vec::new()), out);
-        return;
+        return reply.send(&Response::Matrix(Vec::new()));
     }
 
     // Place every cell, collecting each shard's id sets.
@@ -1144,7 +704,7 @@ fn route_matrix(
         .filter(|&s| !sub_sources.get(s).is_none_or(Vec::is_empty))
         .collect();
     if needed.len() > 1 {
-        RouterStats::add(&state.stats.fanout_frames, 1);
+        reply.stats().fanout_frames.add(1);
     }
 
     // Scatter: one sub-matrix conversation per shard with work.
@@ -1160,17 +720,9 @@ fn route_matrix(
                 }
             }
             // Wrong cell count: desynced backend, same as dead.
-            Ok(_) => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&shard_unavailable_response(shard), out);
-                return;
-            }
+            Ok(_) => return send_shard_failure(reply, &shard_unavailable_response(shard)),
             Err(failure) => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&backend_failure_response(shard, &failure), out);
-                return;
+                return send_shard_failure(reply, &backend_failure_response(shard, &failure))
             }
         }
     }
@@ -1196,15 +748,10 @@ fn route_matrix(
             Some(d) => merged.push(d),
             // Unreachable by construction; treat as a desynced backend
             // rather than risking a wrong-length response.
-            None => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&shard_unavailable_response(shard), out);
-                return;
-            }
+            None => return send_shard_failure(reply, &shard_unavailable_response(shard)),
         }
     }
-    encode_response(&Response::Matrix(merged), out);
+    reply.send(&Response::Matrix(merged));
 }
 
 /// Aggregates the cluster into one unsharded-looking INFO answer: global
@@ -1212,8 +759,9 @@ fn route_matrix(
 /// counted once per owning shard — this is real cluster memory, not the
 /// deduplicated index size), and the minimum backend generation (the most
 /// conservative view of how reloaded the cluster is). Flags report what
-/// holds on **every** shard.
-fn aggregate_info(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response {
+/// holds on **every** shard. A failing shard fails the frame and counts in
+/// `shard_errors`.
+fn aggregate_info(pool: &mut BackendPool, cluster: &ClusterView, stats: &Stats) -> Response {
     let mut total_labels = 0u64;
     let mut generation = u64::MAX;
     let mut compressed = true;
@@ -1226,7 +774,10 @@ fn aggregate_info(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response
                 compressed &= info.compressed;
                 mapped &= info.mapped;
             }
-            Err(failure) => return backend_failure_response(shard, &failure),
+            Err(failure) => {
+                stats.shard_errors.add(1);
+                return backend_failure_response(shard, &failure);
+            }
         }
     }
     Response::Info(ServerInfo {
@@ -1245,13 +796,17 @@ fn aggregate_info(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response
 
 /// Fans RELOAD out to every shard in shard order and reports the minimum
 /// resulting generation. Not atomic: a mid-sequence failure leaves earlier
-/// shards reloaded, and the error frame names the first shard that failed.
-fn fan_out_reload(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response {
+/// shards reloaded, and the error frame names the first shard that failed
+/// (counted in `shard_errors`).
+fn fan_out_reload(pool: &mut BackendPool, cluster: &ClusterView, stats: &Stats) -> Response {
     let mut generation = u64::MAX;
     for shard in 0..cluster.shard_count() {
         match pool.call(shard, |client| client.reload()) {
             Ok(g) => generation = generation.min(g),
-            Err(failure) => return backend_failure_response(shard, &failure),
+            Err(failure) => {
+                stats.shard_errors.add(1);
+                return backend_failure_response(shard, &failure);
+            }
         }
     }
     Response::Ok {

@@ -7,7 +7,7 @@
 //! wedged or crashed server.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chl_core::flat::FlatIndex;
 use chl_core::oracle::DistanceOracle;
@@ -523,6 +523,41 @@ fn oversized_path_and_matrix_responses_fail_typed_without_closing() {
     );
     drop(client);
     server.shutdown().expect("shutdown");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn shutdown_followed_by_an_oversized_header_in_one_read_still_stops_the_server() {
+    let (server, flat, path) = start_server("shutdown-oversized", ServeOptions::default());
+    let mut client = connect(&server);
+    assert_eq!(client.query(1, 2).expect("query"), flat.query(1, 2));
+
+    // One write: a SHUTDOWN frame, then a length header over the cap.
+    let mut wire = Vec::new();
+    encode_request(&Request::Shutdown, &mut wire);
+    wire.extend_from_slice(&u32::MAX.to_le_bytes());
+    client.send_raw(&wire).expect("send");
+    match client.read_response().expect("shutdown ack") {
+        Response::Ok { .. } => {}
+        other => panic!("expected the SHUTDOWN ack, got {other:?}"),
+    }
+    // The stop holds although a broken length header follows it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.handle().is_shutdown() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        server.handle().is_shutdown(),
+        "acknowledged SHUTDOWN was ignored"
+    );
+    // The acknowledged SHUTDOWN ended the flush: the header after it
+    // was not answered.
+    match client.read_response() {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected EOF after the SHUTDOWN ack, got {other:?}"),
+    }
+    let stats = server.join().expect("server exits");
+    assert_eq!(stats.error_frames, 0);
     std::fs::remove_file(path).ok();
 }
 

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chl_core::flat::FlatIndex;
 use chl_core::oracle::DistanceOracle;
@@ -19,10 +19,10 @@ use chl_core::pll::sequential_pll;
 use chl_graph::generators::{grid_network, GridOptions};
 use chl_query::QdolShardMap;
 use chl_ranking::degree_ranking;
-use chl_serve::protocol::OP_QUERY;
+use chl_serve::protocol::{encode_request, OP_QUERY};
 use chl_serve::{
-    Client, ClientError, ClusterView, ErrorCode, Router, RouterOptions, ServeOptions, Server,
-    SharedIndex, SpawnedRouter, SpawnedServer,
+    Client, ClientError, ClusterView, ErrorCode, Handle, Request, Response, Router, RouterOptions,
+    ServeOptions, Server, SharedIndex, SpawnedRouter, SpawnedServer,
 };
 
 /// Builds a small real labeling (6x6 road-like grid, 36 vertices) with
@@ -124,6 +124,15 @@ impl Cluster {
             std::fs::remove_file(path).ok();
         }
     }
+}
+
+/// Polls `handle` for up to five seconds; `true` once shutdown was latched.
+fn wait_for_shutdown(handle: &Handle) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !handle.is_shutdown() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.is_shutdown()
 }
 
 fn connect(addr: std::net::SocketAddr) -> Client {
@@ -477,6 +486,36 @@ fn malformed_and_oversized_frames_get_typed_answers_from_the_router() {
 }
 
 #[test]
+fn shutdown_followed_by_an_oversized_header_in_one_read_still_stops_the_router() {
+    let cluster = start_cluster("shutdown-oversized", RouterOptions::default());
+    let mut client = connect(cluster.router.handle().addr());
+    assert_eq!(client.query(0, 5).expect("query"), cluster.flat.query(0, 5));
+
+    // One write: a SHUTDOWN frame, then a length header over the cap.
+    let mut wire = Vec::new();
+    encode_request(&Request::Shutdown, &mut wire);
+    wire.extend_from_slice(&u32::MAX.to_le_bytes());
+    client.send_raw(&wire).expect("send");
+    match client.read_response().expect("shutdown ack") {
+        Response::Ok { generation } => assert_eq!(generation, 0),
+        other => panic!("expected the SHUTDOWN ack, got {other:?}"),
+    }
+    // The stop holds although a broken length header follows it.
+    assert!(
+        wait_for_shutdown(cluster.router.handle()),
+        "acknowledged SHUTDOWN was ignored"
+    );
+    // The acknowledged SHUTDOWN ended the flush: the header after it
+    // was not answered.
+    match client.read_response() {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected EOF after the SHUTDOWN ack, got {other:?}"),
+    }
+    drop(client);
+    cluster.teardown();
+}
+
+#[test]
 fn a_dead_backend_degrades_to_typed_shard_unavailable_not_a_hang() {
     let cluster = start_cluster("shard-loss", RouterOptions::default());
     let n = cluster.flat.num_vertices() as u32;
@@ -545,12 +584,26 @@ fn a_dead_backend_degrades_to_typed_shard_unavailable_not_a_hang() {
             client.matrix(&[su], &[sv]).expect("survivor matrix"),
             cluster.flat.matrix(&[su], &[sv])
         );
+        // INFO and RELOAD need every shard, so both fail typed too.
+        for outcome in [client.info().map(|_| ()), client.reload().map(|_| ())] {
+            match outcome {
+                Err(ClientError::Server { code, detail, .. }) => {
+                    assert_eq!(code, ErrorCode::ShardUnavailable);
+                    assert_eq!(detail, dead_shard as u64);
+                }
+                other => panic!("expected SHARD_UNAVAILABLE control answer, got {other:?}"),
+            }
+        }
     }
 
     drop(routed);
     drop(fresh);
+    // Per client: one QUERY, one MATRIX, one INFO and one RELOAD frame
+    // failed on the dead shard — each counted once as a shard error and
+    // once as an error frame.
     let stats = cluster.router.handle().stats();
-    assert!(stats.shard_errors > 0, "no shard errors counted: {stats:?}");
+    assert_eq!(stats.shard_errors, 8, "{stats:?}");
+    assert_eq!(stats.error_frames, 8, "{stats:?}");
 
     // Teardown without the victim (already shut down).
     cluster.router.shutdown().expect("router shutdown");
