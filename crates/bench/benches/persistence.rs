@@ -3,8 +3,8 @@
 //! [`HubLabelIndex`] it was flattened from, the cost of a full
 //! serialize → deserialize round trip of the `.chl` byte format, and the
 //! cold-serve comparison the zero-copy refactor exists for — time from
-//! "bytes/file in hand" to "first query answered" for the copying v1/v2
-//! loaders, the borrowed view and the mmap open, plus steady-state query
+//! "bytes/file in hand" to "first query answered" for the copying loader,
+//! the borrowed view and the mmap open, plus steady-state query
 //! parity between the owned and borrowed kernels.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -73,7 +73,7 @@ fn persistence_round_trip(c: &mut Criterion) {
 }
 
 /// Time-to-first-query per serving path: what a process restart costs. The
-/// copying loaders pay deserialization + validation + allocation; the
+/// copying loader pays deserialization + validation + allocation; the
 /// zero-copy view pays validation only; the mmap open additionally pays the
 /// syscall but no read of the label payload.
 fn cold_serve(c: &mut Criterion) {
@@ -83,7 +83,6 @@ fn cold_serve(c: &mut Criterion) {
     let n = ds.graph.num_vertices() as u32;
     let (u, v) = (0u32, n - 1);
 
-    let v1_bytes = persist::to_bytes_v1(&flat);
     let v2_bytes = flat.to_bytes();
     let aligned = AlignedBytes::from_slice(&v2_bytes);
     let path =
@@ -91,12 +90,6 @@ fn cold_serve(c: &mut Criterion) {
     std::fs::write(&path, &v2_bytes).expect("bench scratch file");
 
     let mut group = c.benchmark_group("cold_serve");
-    group.bench_function("copy_load_v1_first_query", |b| {
-        b.iter(|| {
-            let idx = FlatIndex::from_bytes(&v1_bytes).expect("clean v1 bytes");
-            black_box(idx.query(u, v))
-        })
-    });
     group.bench_function("copy_load_v2_first_query", |b| {
         b.iter(|| {
             let idx = FlatIndex::from_bytes(&v2_bytes).expect("clean v2 bytes");

@@ -124,7 +124,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // section delta+varint encoded under --compress.
     let options = SaveOptions {
         compress: opts.switch("compress"),
-        ..SaveOptions::default()
     };
     flat.save_with(&out, &options)
         .map_err(|e| format!("cannot write index {out}: {e}"))?;

@@ -327,47 +327,28 @@ fn mmap_serving_matches_copy_load_end_to_end() {
 
 #[test]
 fn v1_files_still_serve_through_the_copying_path() {
-    use chl_core::persist;
-    use chl_graph::generators::{grid_network, GridOptions};
+    // The frozen v1 file of the golden corpus (nothing writes v1 any more)
+    // and the v3 file of the same index, which pins the expected answer.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    let v1_path = fixtures.join("golden.v1.chl");
+    let v3 = FlatIndex::load(fixtures.join("golden.v3-flat.chl")).unwrap();
 
-    let dir = temp_dir("v1-compat");
-    let graph = grid_network(
-        &GridOptions {
-            rows: 6,
-            cols: 6,
-            ..GridOptions::default()
-        },
-        7,
-    );
-    let index = ChlBuilder::new(&graph)
-        .ranking(RankingStrategy::Degree)
-        .algorithm(Algorithm::Hybrid)
-        .build()
-        .unwrap()
-        .index;
-    let flat = FlatIndex::from_index(&index);
-
-    // A file written by the legacy v1 writer...
-    let v1_path = dir.join("legacy.chl");
-    std::fs::write(&v1_path, persist::to_bytes_v1(&flat)).unwrap();
-
-    // ...is inspectable and serves correct distances via the copying path.
+    // A v1 file is inspectable and serves correct distances via the
+    // copying path...
     let stdout = run_ok(chl().args(["inspect", v1_path.to_str().unwrap()]));
     assert!(stdout.contains("format version:   1"), "stdout: {stdout}");
     assert!(stdout.contains("payload checksum:"), "stdout: {stdout}");
-    let stdout = run_ok(chl().args(["query", v1_path.to_str().unwrap(), "0", "35"]));
+    let stdout = run_ok(chl().args(["query", v1_path.to_str().unwrap(), "0", "15"]));
     assert!(
-        stdout.contains(&format!("dist(0, 35) = {}", index.query(0, 35))),
+        stdout.contains(&format!("dist(0, 15) = {}", v3.query(0, 15))),
         "stdout: {stdout}"
     );
 
     // ...but cannot be served zero-copy: typed refusal, not a panic.
-    let stderr = run_err(chl().args(["query", v1_path.to_str().unwrap(), "--mmap", "0", "35"]));
+    let stderr = run_err(chl().args(["query", v1_path.to_str().unwrap(), "--mmap", "0", "15"]));
     assert!(stderr.contains("v1"), "stderr: {stderr}");
     assert!(stderr.contains("zero-copy"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -254,10 +254,9 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
         }
     }
 
-    /// Attaches validated per-entry parent records (one per label entry,
-    /// validated by the persistence layer or [`crate::paths`]).
+    /// Attaches per-entry parent records (one per label entry, validated by
+    /// the persistence layer or [`crate::paths`] before any query runs).
     pub(crate) fn with_parents(mut self, parents: &'a [u32]) -> Self {
-        debug_assert_eq!(parents.len() as u64, *self.offsets.last().unwrap_or(&0));
         self.parents = Some(parents);
         self
     }
@@ -483,13 +482,13 @@ fn tail_from(run: &[LabelEntry], k: u32) -> &[LabelEntry] {
 impl<'a> FlatView<'a> {
     /// Assembles a flat view from raw parts, without validating the CSR
     /// invariants. Callers (the owning wrapper and the persistence layer)
-    /// must have established them.
+    /// must establish them before the view answers a query; the
+    /// persistence layer checks the parts of the assembled view.
     pub(crate) fn from_validated_parts(
         order: &'a [VertexId],
         offsets: &'a [u64],
         entries: &'a [LabelEntry],
     ) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), entries.len() as u64);
         LabelView::from_parts(order, offsets, RawStore { entries })
     }
 
@@ -541,6 +540,12 @@ impl<'a> CompressedView<'a> {
     /// table), for compression-ratio reporting.
     pub fn encoded_len(&self) -> usize {
         self.store.encoded_len()
+    }
+
+    /// The skip table and encoded blob the view streams from, for the
+    /// persistence layer's validation pass.
+    pub(crate) fn encoded_parts(&self) -> (&'a [u64], &'a [u8]) {
+        (self.store.skip, self.store.blob)
     }
 }
 
@@ -1162,7 +1167,7 @@ impl FlatIndex {
         persist::to_bytes(self)
     }
 
-    /// Serializes the index into `.chl` v2 bytes with explicit
+    /// Serializes the index into `.chl` v3 bytes with explicit
     /// [`SaveOptions`] — `compress: true` writes the entries section
     /// delta+varint encoded (see [`crate::persist`]).
     pub fn to_bytes_with(&self, options: &SaveOptions) -> Vec<u8> {

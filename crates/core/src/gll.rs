@@ -14,11 +14,11 @@
 //! paper credits for GLL's speedup over LCC (Figure 7).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::config::LabelingConfig;
@@ -88,6 +88,9 @@ pub fn gll_from_state(
         stats.supersteps += 1;
         let local = ConcurrentLabelTable::new(n);
         let superstep_labels = AtomicUsize::new(0);
+        // Each worker takes these locks once, for one extend or add, so a
+        // poisoned lock still holds whole values; poisoning is ignored and a
+        // worker's panic propagates out of the thread scope.
         let records = Mutex::new(Vec::new());
         let queries = Mutex::new(0usize);
 
@@ -131,14 +134,19 @@ pub fn gll_from_state(
                         local_records.push(record);
                         local_queries += q;
                     }
-                    records.lock().extend(local_records);
-                    *queries.lock() += local_queries;
+                    records
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .extend(local_records);
+                    *queries.lock().unwrap_or_else(PoisonError::into_inner) += local_queries;
                 });
             }
         });
         construction_time += phase_start.elapsed();
-        stats.spt_records.extend(records.into_inner());
-        stats.distance_queries += queries.into_inner();
+        stats
+            .spt_records
+            .extend(records.into_inner().unwrap_or_else(PoisonError::into_inner));
+        stats.distance_queries += queries.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         // --- Interleaved cleaning of the local table only ---
         let clean_start = Instant::now();

@@ -13,11 +13,11 @@
 //! single cleaning pass (Lemma 2) removes exactly those, leaving the CHL.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::cleaning::clean_labels;
 use crate::config::LabelingConfig;
@@ -43,6 +43,9 @@ pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig)
     let threads = config.effective_threads().max(1);
     let table = ConcurrentLabelTable::new(n);
     let next_root = AtomicU32::new(0);
+    // Each worker takes these locks once, for one extend or add, so a
+    // poisoned lock still holds whole values; poisoning is ignored and a
+    // worker's panic propagates out of the thread scope.
     let records = Mutex::new(Vec::with_capacity(n));
     let query_count = Mutex::new(0usize);
 
@@ -71,8 +74,11 @@ pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig)
                     local_records.push(record);
                     local_queries += queries;
                 }
-                records.lock().extend(local_records);
-                *query_count.lock() += local_queries;
+                records
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(local_records);
+                *query_count.lock().unwrap_or_else(PoisonError::into_inner) += local_queries;
             });
         }
     });
@@ -95,8 +101,10 @@ pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig)
         .expect("constructor produced one label set per vertex");
     let mut stats = ConstructionStats::new("LCC");
     stats.threads = threads;
-    stats.spt_records = records.into_inner();
-    stats.distance_queries = query_count.into_inner();
+    stats.spt_records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
+    stats.distance_queries = query_count
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     stats.construction_time = construction_time;
     stats.cleaning_time = cleaning_time;
     stats.total_time = start.elapsed();

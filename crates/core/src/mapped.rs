@@ -36,7 +36,7 @@ use chl_graph::types::{Distance, VertexId};
 
 use crate::flat::IndexView;
 use crate::oracle::DistanceOracle;
-use crate::persist::{self, AlignedBytes, PersistError, ShardSpec};
+use crate::persist::{self, AlignedBytes, LayoutV2, PersistError, ShardSpec};
 
 /// A `.chl` v2/v3 index served zero-copy from a file mapping (or, as a
 /// fallback, from one aligned buffered read of the file).
@@ -60,13 +60,9 @@ use crate::persist::{self, AlignedBytes, PersistError, ShardSpec};
 #[derive(Debug)]
 pub struct MmapIndex {
     backing: Backing,
-    num_vertices: usize,
-    num_entries: usize,
-    version: u32,
-    compressed: bool,
-    /// Whether the file carries a path section (per-entry parent records),
-    /// cached at open like the other layout parameters.
-    paths: bool,
+    /// The section layout validated at open; every view is assembled from
+    /// it without re-reading the header.
+    layout: LayoutV2,
     /// Owned copy of the shard section, cached at open so per-query shard
     /// membership checks never re-walk the mapped bytes' layout.
     shard: Option<ShardSpec>,
@@ -109,7 +105,7 @@ fn open_backing(path: &Path) -> Result<Backing, PersistError> {
 }
 
 impl MmapIndex {
-    /// Opens and fully validates a `.chl` v2 file for zero-copy serving.
+    /// Opens and fully validates a `.chl` v2/v3 file for zero-copy serving.
     ///
     /// Validation is identical to the copying loader's (length, per-section
     /// checksums, padding, semantic invariants) and runs exactly once;
@@ -118,59 +114,38 @@ impl MmapIndex {
     /// [`PersistError::NotZeroCopy`].
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let backing = open_backing(path.as_ref())?;
-        let version = persist::parse_header(backing.as_slice())?.version;
-        let view = persist::open_view(backing.as_slice())?;
-        let (num_vertices, num_entries) = (view.num_vertices(), view.total_labels());
-        let compressed = view.is_compressed();
-        let paths = view.has_path_data();
+        let (layout, view) = persist::open_layout(backing.as_slice())?;
         let shard = view.shard().map(|s| s.to_spec());
         Ok(MmapIndex {
             backing,
-            num_vertices,
-            num_entries,
-            version,
-            compressed,
-            paths,
+            layout,
             shard,
         })
     }
 
     /// The borrowed query kernel over the mapped bytes. Cheap enough to call
-    /// per query: reconstructing the view is a few pointer casts, with all
-    /// validation already paid at [`MmapIndex::open`]. Flat files serve a
+    /// per query: the view is assembled from the layout validated at
+    /// [`MmapIndex::open`] with a few pointer casts, through the same
+    /// assembler [`persist::open_view`] uses. Flat files serve a
     /// [`FlatView`](crate::flat::FlatView) arm, compressed files a
     /// streaming [`CompressedView`](crate::flat::CompressedView) arm — the
     /// query kernel is the same either way.
     #[inline]
     pub fn view(&self) -> IndexView<'_> {
-        // SAFETY: open() ran open_view over this exact backing with these
-        // parameters; the backing is immutable for self's lifetime (modulo
-        // the documented external-mutation caveat) and keeps its 8-byte
-        // base alignment (mmap is page-aligned, AlignedBytes by
-        // construction).
-        unsafe {
-            persist::view_assuming_valid(
-                self.backing.as_slice(),
-                self.num_vertices,
-                self.num_entries,
-                self.version,
-                self.compressed,
-                self.paths,
-                self.shard.is_some(),
-            )
-        }
+        persist::assemble_view(self.backing.as_slice(), &self.layout)
+            .expect("open assembled a view over this same backing")
     }
 
     /// `true` when the file carries a path section, i.e.
     /// [`crate::paths::PathOracle::path`] can answer through this index.
     pub fn has_path_data(&self) -> bool {
-        self.paths
+        self.layout.has_paths()
     }
 
     /// `true` when the file's entries section is delta+varint compressed —
     /// queries stream-decode instead of reinterpreting records in place.
     pub fn is_compressed(&self) -> bool {
-        self.compressed
+        self.layout.is_compressed()
     }
 
     /// The shard identity cached at open, when the file is one QDOL shard
@@ -196,12 +171,12 @@ impl MmapIndex {
 
     /// Number of vertices covered by the index.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.layout.n
     }
 
     /// Total number of labels stored.
     pub fn total_labels(&self) -> usize {
-        self.num_entries
+        self.layout.m
     }
 
     /// Size of the backing file image in bytes — what the mapping can fault
@@ -217,7 +192,7 @@ impl DistanceOracle for MmapIndex {
     }
 
     fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.layout.n
     }
 
     /// For a mapped index the whole file image backs queries (the kernel
@@ -297,14 +272,11 @@ mod tests {
 
     #[test]
     fn v1_files_are_refused_with_a_typed_error() {
-        let flat = tiny_flat();
-        let path = temp_path("v1");
-        std::fs::write(&path, persist::to_bytes_v1(&flat)).unwrap();
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden.v1.chl");
         assert!(matches!(
             MmapIndex::open(&path),
             Err(PersistError::NotZeroCopy { version: 1 })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

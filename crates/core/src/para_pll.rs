@@ -10,11 +10,11 @@
 //! the behaviour the paper criticizes in §3 and Table 3 / Figure 9.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
@@ -43,6 +43,9 @@ pub(crate) fn spara_pll_impl(
     let threads = config.effective_threads().max(1);
     let table = ConcurrentLabelTable::new(n);
     let next_root = AtomicU32::new(0);
+    // Each worker takes these locks once, for one extend or add, so a
+    // poisoned lock still holds whole values; poisoning is ignored and a
+    // worker's panic propagates out of the thread scope.
     let records = Mutex::new(Vec::with_capacity(n));
     let query_count = Mutex::new(0usize);
 
@@ -70,16 +73,21 @@ pub(crate) fn spara_pll_impl(
                     local_records.push(record);
                     local_queries += queries;
                 }
-                records.lock().extend(local_records);
-                *query_count.lock() += local_queries;
+                records
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(local_records);
+                *query_count.lock().unwrap_or_else(PoisonError::into_inner) += local_queries;
             });
         }
     });
 
     let mut stats = ConstructionStats::new("SparaPLL");
     stats.threads = threads;
-    stats.spt_records = records.into_inner();
-    stats.distance_queries = query_count.into_inner();
+    stats.spt_records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
+    stats.distance_queries = query_count
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     stats.construction_time = start.elapsed();
     stats.total_time = start.elapsed();
 

@@ -6,8 +6,9 @@
 //! query-time layout: every section starts on an 8-byte boundary and stores
 //! its integers exactly as the in-memory arrays do, so a validated buffer can
 //! be served through a borrowed [`FlatView`] without copying a single label
-//! ([`view_bytes`]). Version 1 files (the original packed layout) keep
-//! loading through the copying path ([`from_bytes`] / [`load`]).
+//! ([`view_bytes`]). Only version 3 is ever written; version 2 files keep
+//! loading through every path and version 1 files (the original packed
+//! layout) through the copying path ([`from_bytes`] / [`load`]).
 //!
 //! ## Version 3 layout (current)
 //!
@@ -94,12 +95,12 @@
 //! [`crate::paths`]), so a hostile parents array yields a typed error, never
 //! a hang or a panic.
 //!
-//! ## Version 2 layout (legacy, readable and writable)
+//! ## Version 2 layout (legacy, read-only)
 //!
 //! Identical to v3 without the `crc_shard`/`crc_header` words (40-byte
-//! header) and without the shard section; the flags word knows only bit 0.
-//! v2 files keep loading byte-identically through every path, and
-//! [`SaveOptions::v2`] still writes them for old readers.
+//! header) and without the shard and path sections; the flags word knows
+//! only bit 0. v2 files keep loading byte-identically through every path,
+//! zero-copy included; nothing writes them any more.
 //!
 //! ## Compressed entries section (flags bit 0)
 //!
@@ -154,10 +155,11 @@
 //! load (copying) but cannot back a zero-copy view
 //! ([`PersistError::NotZeroCopy`]); there is no in-place migration — an
 //! index is cheap to rebuild from its graph, so old files are regenerated,
-//! not converted. Writers emit v3 by default ([`to_bytes`] / [`save`]);
-//! [`SaveOptions::v2`] selects the v2 layout for old readers (refused for
-//! sharded indexes, which v2 cannot express) and [`to_bytes_v1`] remains for
-//! compatibility tests and old tooling.
+//! not converted. The writers ([`to_bytes`] / [`to_bytes_with`] / [`save`])
+//! emit v3 only. v1 and v2 are frozen: their readers stay, and the
+//! checked-in fixtures `tests/fixtures/golden.{v1,v2-flat,v2-compressed}.chl`
+//! pin them (answers, length and CRC-32), since no code can produce those
+//! bytes any more.
 //!
 //! ## Corruption detection
 //!
@@ -188,7 +190,7 @@ pub const MAGIC: &[u8; 4] = b"CHLI";
 /// Current format version. Bumped on any layout change.
 pub const VERSION: u32 = 3;
 /// The previous aligned format version (no header CRC, no shard section),
-/// still both readable and writable ([`SaveOptions::v2`]).
+/// still readable through every path, no longer written.
 pub const VERSION_V2: u32 = 2;
 /// The legacy packed format version, still readable via the copying path.
 pub const VERSION_V1: u32 = 1;
@@ -238,56 +240,20 @@ fn flags_known(version: u32) -> u32 {
 
 /// Writer knobs for [`to_bytes_with`] / [`save_with`]. The default writes
 /// the flat v3 layout; `compress` switches the entries section to the
-/// delta+varint encoding behind [`FLAG_COMPRESSED_ENTRIES`], and `version`
-/// selects the v2 layout for compatibility with older readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// delta+varint encoding behind [`FLAG_COMPRESSED_ENTRIES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveOptions {
     /// Delta-encode hub positions and varint-encode distances in the
     /// entries section. Several-fold smaller files; queries through the
     /// zero-copy paths stream-decode the two runs they touch instead of
     /// reinterpreting them in place.
     pub compress: bool,
-    /// Format version to emit: [`VERSION`] (the default) or [`VERSION_V2`].
-    /// Any other value falls back to [`VERSION`]. A sharded index always
-    /// serializes as v3 — v2 cannot express the shard section.
-    pub version: u32,
-}
-
-impl Default for SaveOptions {
-    fn default() -> Self {
-        SaveOptions {
-            compress: false,
-            version: VERSION,
-        }
-    }
 }
 
 impl SaveOptions {
     /// Options selecting the compressed entries encoding.
     pub fn compressed() -> Self {
-        SaveOptions {
-            compress: true,
-            ..SaveOptions::default()
-        }
-    }
-
-    /// Options selecting the legacy v2 layout (flat entries).
-    pub fn v2() -> Self {
-        SaveOptions {
-            compress: false,
-            version: VERSION_V2,
-        }
-    }
-
-    /// The version this writer will actually emit for `index`: indexes that
-    /// need a v3-only section (shard identity, path parents) force v3,
-    /// anything but an explicit [`VERSION_V2`] is v3.
-    fn effective_version(&self, needs_v3: bool) -> u32 {
-        if needs_v3 || self.version != VERSION_V2 {
-            VERSION
-        } else {
-            VERSION_V2
-        }
+        SaveOptions { compress: true }
     }
 }
 
@@ -921,11 +887,14 @@ struct ShardLayout {
 /// Absolute byte ranges of the sections within a v2/v3 file of validated
 /// length. Section starts and lengths are all multiples of
 /// [`SECTION_ALIGN`], so a section start in an 8-byte-aligned buffer is
-/// itself 8-byte aligned.
+/// itself 8-byte aligned. `MmapIndex` keeps the layout [`open_layout`]
+/// validated and rebuilds its views from it.
 #[derive(Debug, Clone)]
-struct LayoutV2 {
-    n: usize,
-    m: usize,
+pub(crate) struct LayoutV2 {
+    /// Number of vertices.
+    pub(crate) n: usize,
+    /// Number of label entries stored in the file.
+    pub(crate) m: usize,
     /// Ranking data bytes (`n * 4`), excluding tail padding.
     ranking_data: Range<usize>,
     /// Full ranking section including tail padding.
@@ -941,6 +910,18 @@ struct LayoutV2 {
     paths: Option<PathsLayout>,
     /// The trailing shard section when [`FLAG_SHARDED`] is set (v3 only).
     shard: Option<ShardLayout>,
+}
+
+impl LayoutV2 {
+    /// `true` when the entries section is delta+varint compressed.
+    pub(crate) fn is_compressed(&self) -> bool {
+        self.compressed.is_some()
+    }
+
+    /// `true` when the file carries a path section.
+    pub(crate) fn has_paths(&self) -> bool {
+        self.paths.is_some()
+    }
 }
 
 /// Computes the v2/v3 section layout from header dimensions and checks the
@@ -1445,22 +1426,16 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
     (skip, blob)
 }
 
-/// Serializes `index` into the `.chl` byte format under `options`:
+/// Serializes `index` into the v3 `.chl` byte format under `options`:
 /// flat 16-byte entry records by default, the delta+varint compressed
-/// entries section (flags bit 0) when `options.compress` is set, the v3
-/// layout (header CRC, optional shard section) unless `options.version`
-/// selects v2. An index carrying a [`ShardSpec`] always serializes as v3.
+/// entries section (flags bit 0) when `options.compress` is set, plus the
+/// path and shard sections when the index carries parents or a
+/// [`ShardSpec`].
 pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     let n = index.num_vertices();
     let m = index.total_labels();
     let shard = index.shard();
     let parents = index.parents();
-    let version = options.effective_version(shard.is_some() || parents.is_some());
-    let header_len = if version == VERSION_V2 {
-        HEADER_LEN_V2
-    } else {
-        HEADER_LEN_V3
-    };
     // Encoding up front makes the exact output size computable either way,
     // so the buffer never reallocates mid-write.
     let encoded = options
@@ -1478,10 +1453,10 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
                 pad_to_align((n as u64) * 4).expect("index fits in memory") as usize + (n + 1) * 8;
             let entries_len = skip.len() * 8
                 + pad_to_align(blob.len() as u64).expect("index fits in memory") as usize;
-            header_len + prefix + entries_len + paths_len + shard_len
+            HEADER_LEN_V3 + prefix + entries_len + paths_len + shard_len
         }
         None => {
-            header_len
+            HEADER_LEN_V3
                 + expected_payload_len_v2(n as u64, m as u64)
                     .expect("in-memory index fits in memory")
                 + paths_len
@@ -1502,13 +1477,12 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
         flags |= FLAG_PATHS;
     }
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(n as u64).to_le_bytes());
     buf.extend_from_slice(&(m as u64).to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
-    // CRC placeholders: three section CRCs (v2), plus crc_shard and
-    // crc_header in v3.
-    buf.resize(header_len, 0);
+    // CRC placeholders: three section CRCs, crc_shard and crc_header.
+    buf.resize(HEADER_LEN_V3, 0);
 
     let ranking_start = buf.len();
     for &v in index.ranking().order() {
@@ -1566,7 +1540,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
 
     // Each section is checksummed independently — a writer streaming
     // sections to disk can finalize each CRC as the section completes. The
-    // v3 header CRC goes last: it covers the section CRCs themselves.
+    // header CRC goes last: it covers the section CRCs themselves.
     let crc_ranking = crc32(&buf[ranking_start..offsets_start]);
     let crc_offsets = crc32(&buf[offsets_start..entries_start]);
     let crc_entries = crc32(&buf[entries_start..paths_start]);
@@ -1577,48 +1551,14 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
         let crc_paths = crc32(&buf[paths_start + 8..shard_start]);
         buf[paths_start..paths_start + 4].copy_from_slice(&crc_paths.to_le_bytes());
     }
-    if version != VERSION_V2 {
-        let crc_shard = if shard.is_some() {
-            crc32(&buf[shard_start..])
-        } else {
-            0
-        };
-        buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
-        let crc_header = crc32(&buf[..HEADER_LEN_V3 - 4]);
-        buf[44..48].copy_from_slice(&crc_header.to_le_bytes());
-    }
-    buf
-}
-
-/// Serializes `index` into the legacy v1 packed format. Kept for
-/// compatibility tests and for producing files older readers understand; new
-/// files should use [`to_bytes`].
-pub fn to_bytes_v1(index: &FlatIndex) -> Vec<u8> {
-    let n = index.num_vertices();
-    let m = index.total_labels();
-    let payload_len =
-        expected_payload_len_v1(n as u64, m as u64).expect("in-memory index fits in memory");
-    let mut buf = Vec::with_capacity(HEADER_LEN_V1 + payload_len);
-
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-
-    for &v in index.ranking().order() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    for &off in index.offsets() {
-        buf.extend_from_slice(&off.to_le_bytes());
-    }
-    for e in index.entries() {
-        buf.extend_from_slice(&e.hub.to_le_bytes());
-        buf.extend_from_slice(&e.dist.to_le_bytes());
-    }
-
-    let crc = crc32(&buf[HEADER_LEN_V1..]);
-    buf[24..28].copy_from_slice(&crc.to_le_bytes());
+    let crc_shard = if shard.is_some() {
+        crc32(&buf[shard_start..])
+    } else {
+        0
+    };
+    buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
+    let crc_header = crc32(&buf[..HEADER_LEN_V3 - 4]);
+    buf[44..48].copy_from_slice(&crc_header.to_le_bytes());
     buf
 }
 
@@ -1917,32 +1857,27 @@ fn from_bytes_v2(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistE
 
 // --- Zero-copy views -----------------------------------------------------
 //
-// On little-endian hosts a validated v2 buffer is reinterpreted in place:
-// the ranking section becomes `&[u32]`, the offsets section `&[u64]` and the
-// entries section `&[LabelEntry]` (whose #[repr(C)] layout matches the
-// 16-byte record exactly). Alignment holds because every section offset is a
-// multiple of 8 and the caller's buffer base is checked to be 8-byte
-// aligned; every bit pattern of the underlying integers is a valid value, so
-// the casts cannot manufacture invalid data — semantic validation happens on
-// the cast slices afterwards, exactly as for the copying path.
+// On little-endian hosts a validated v2/v3 buffer is reinterpreted in
+// place: the ranking section becomes `&[u32]`, the offsets section `&[u64]`
+// and the entries section `&[LabelEntry]` (whose #[repr(C)] layout matches
+// the 16-byte record exactly). The casts below are called only by
+// assemble_view, which casts nothing unless the buffer base is 8-byte
+// aligned; every range it casts starts a multiple of 8 bytes from that
+// base, because layout_v2 (the only constructor of LayoutV2) pads every
+// section to SECTION_ALIGN. Every bit pattern of the underlying integers is
+// a valid value, so the casts cannot manufacture invalid data — semantic
+// validation happens on the cast slices afterwards, exactly as for the
+// copying path.
 
-/// `true` when `data`'s base address allows in-place reinterpretation of
-/// 8-byte-aligned sections.
-fn is_view_aligned(data: &[u8]) -> bool {
-    (data.as_ptr() as usize).is_multiple_of(SECTION_ALIGN)
-}
-
-#[cfg(target_endian = "little")]
 fn cast_u32s(bytes: &[u8]) -> &[u32] {
     debug_assert!((bytes.as_ptr() as usize).is_multiple_of(4));
     debug_assert!(bytes.len().is_multiple_of(4));
-    // SAFETY: the caller (layout_v2 + is_view_aligned) guarantees 4-byte
-    // alignment and a length that is a multiple of 4; any bit pattern is a
-    // valid u32, and the lifetime is inherited from `bytes`.
+    // SAFETY: 4-byte alignment holds (see above) and the length is rounded
+    // down to whole u32s inside `bytes`; any bit pattern is a valid u32,
+    // and the lifetime is inherited from `bytes`.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
 }
 
-#[cfg(target_endian = "little")]
 fn cast_u64s(bytes: &[u8]) -> &[u64] {
     debug_assert!((bytes.as_ptr() as usize).is_multiple_of(8));
     debug_assert!(bytes.len().is_multiple_of(8));
@@ -1950,14 +1885,15 @@ fn cast_u64s(bytes: &[u8]) -> &[u64] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
 }
 
-#[cfg(target_endian = "little")]
 fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
     debug_assert!((bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<LabelEntry>()));
     debug_assert!(bytes.len().is_multiple_of(ENTRY_LEN_V2));
-    // SAFETY: LabelEntry is #[repr(C)] with size 16 and align 8 (asserted at
-    // compile time in labels.rs); the record layout matches field-for-field,
-    // both integer fields accept any bit pattern, and the four bytes the
-    // cast lands on LabelEntry's internal padding are never read.
+    // SAFETY: 8-byte alignment holds (see above) and the length is rounded
+    // down to whole records inside `bytes`. LabelEntry is #[repr(C)] with
+    // size 16 and align 8 (asserted at compile time in labels.rs); the
+    // record layout matches field-for-field, both integer fields accept any
+    // bit pattern, and the four bytes the cast lands on LabelEntry's
+    // internal padding are never read.
     unsafe {
         std::slice::from_raw_parts(
             bytes.as_ptr() as *const LabelEntry,
@@ -1982,89 +1918,121 @@ fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
 /// it) and the host little-endian; otherwise [`PersistError::Unviewable`] is
 /// returned. v1 files report [`PersistError::NotZeroCopy`].
 pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
+    open_layout(data).map(|(_, view)| view)
+}
+
+/// [`open_view`], also returning the validated section layout so a caller
+/// that owns `data` (`MmapIndex`) can rebuild the view per query with
+/// [`assemble_view`] alone. The steps, in order: the header, [`layout_v2`],
+/// [`check_sections_v2`], [`assemble_view`] and [`check_view`].
+pub(crate) fn open_layout(data: &[u8]) -> Result<(LayoutV2, IndexView<'_>), PersistError> {
     let header = parse_header(data)?;
     if header.version == VERSION_V1 {
         return Err(PersistError::NotZeroCopy {
             version: header.version,
         });
     }
-    if !is_view_aligned(data) {
-        return Err(PersistError::Unviewable {
-            reason: "base address is not 8-byte aligned",
-        });
+    let layout = layout_v2(
+        header.num_vertices,
+        header.num_entries,
+        header.version,
+        header.is_compressed(),
+        header.is_paths(),
+        header.is_sharded(),
+        data,
+    )?;
+    check_sections_v2(data, &header, &layout)?;
+    let view = assemble_view(data, &layout).ok_or(PersistError::Unviewable {
+        reason: if cfg!(target_endian = "little") {
+            "base address is not 8-byte aligned"
+        } else {
+            "host is big-endian"
+        },
+    })?;
+    check_view(&view, header.num_entries)?;
+    Ok((layout, view))
+}
+
+/// Casts the section ranges of `layout` into slices of `data` and wraps
+/// them as an [`IndexView`]: the one place a view over a file is built,
+/// shared by [`open_view`] and `MmapIndex::view`. `None` when `data`'s base
+/// address is not 8-byte aligned or the host is big-endian (the sections
+/// hold little-endian integers). Beyond that it checks nothing: `data` must
+/// be the buffer [`layout_v2`] measured `layout` on (a different buffer
+/// panics on a range or reads garbage, never memory outside `data`), and no
+/// query may reach the view before [`check_view`] accepted it.
+pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &LayoutV2) -> Option<IndexView<'a>> {
+    if cfg!(target_endian = "big") || !(data.as_ptr() as usize).is_multiple_of(SECTION_ALIGN) {
+        return None;
     }
-    #[cfg(not(target_endian = "little"))]
-    {
-        return Err(PersistError::Unviewable {
-            reason: "host is big-endian",
-        });
+    let order = cast_u32s(&data[layout.ranking_data.clone()]);
+    let offsets = cast_u64s(&data[layout.offsets.clone()]);
+    let view = match &layout.compressed {
+        None => {
+            let entries = cast_entries(&data[layout.entries.clone()]);
+            IndexView::flat(FlatView::from_validated_parts(order, offsets, entries))
+        }
+        Some(c) => {
+            let skip = cast_u64s(&data[c.skip.clone()]);
+            let blob = &data[c.blob_data.clone()];
+            IndexView::compressed(CompressedView::from_validated_compressed_parts(
+                order, offsets, skip, blob,
+            ))
+        }
+    };
+    let view = match &layout.paths {
+        Some(p) => view.with_parents(cast_u32s(&data[p.data.clone()])),
+        None => view,
+    };
+    Some(match &layout.shard {
+        Some(s) => {
+            let mut cur = Cursor::new(data);
+            cur.seek(s.data.start);
+            let shard_id = cur.get_u32();
+            let shard_count = cur.get_u32();
+            let zeta = cur.get_u32();
+            // owned_count (the next word) is implied by the array length.
+            let owned = cast_u32s(&data[s.data.start + 16..s.data.end]);
+            view.with_shard(ShardView {
+                shard_id,
+                shard_count,
+                zeta,
+                owned,
+            })
+        }
+        None => view,
+    })
+}
+
+/// The semantic invariants of a v2/v3 file, checked on the slices
+/// [`assemble_view`] cast out of it — the battery the copying loader runs
+/// on its owned arrays: the ranking is a permutation, the offsets rise from
+/// 0 to `m64`, a shard's identity is well formed and every foreign vertex's
+/// run is empty, every run is strictly hub-sorted with in-range hubs
+/// (compressed runs are fully decoded to prove it), and parent records are
+/// consistent with their entries.
+fn check_view(view: &IndexView<'_>, m64: u64) -> Result<(), PersistError> {
+    let (order, offsets) = (view.order(), view.offsets());
+    let n = order.len();
+    check_permutation(order)?;
+    validate_offsets(n, offsets, m64)?;
+    if let Some(s) = view.shard() {
+        validate_shard_meta(s.shard_id, s.shard_count, s.zeta, s.owned, n as u64)?;
+        check_shard_consistency(s.owned, offsets)?;
     }
-    #[cfg(target_endian = "little")]
-    {
-        let layout = layout_v2(
-            header.num_vertices,
-            header.num_entries,
-            header.version,
-            header.is_compressed(),
-            header.is_paths(),
-            header.is_sharded(),
-            data,
-        )?;
-        check_sections_v2(data, &header, &layout)?;
-        let order = cast_u32s(&data[layout.ranking_data.clone()]);
-        let offsets = cast_u64s(&data[layout.offsets.clone()]);
-        check_permutation(order)?;
-        validate_offsets(layout.n, offsets, header.num_entries)?;
-        let parents = layout
-            .paths
-            .as_ref()
-            .map(|p| cast_u32s(&data[p.data.clone()]));
-        let shard = match &layout.shard {
-            None => None,
-            Some(s) => {
-                let mut cur = Cursor::new(data);
-                cur.seek(s.data.start);
-                let shard_id = cur.get_u32();
-                let shard_count = cur.get_u32();
-                let zeta = cur.get_u32();
-                cur.take(4); // owned_count, implied by the array length
-                let owned = cast_u32s(&data[s.data.start + 16..s.data.end]);
-                validate_shard_meta(shard_id, shard_count, zeta, owned, header.num_vertices)?;
-                check_shard_consistency(owned, offsets)?;
-                Some(ShardView {
-                    shard_id,
-                    shard_count,
-                    zeta,
-                    owned,
-                })
+    let parents = view.parents();
+    match &view.storage {
+        StorageView::Flat(flat) => {
+            validate_hub_sort(n, offsets, flat.entries())?;
+            match parents {
+                Some(parents) => validate_parents(n, offsets, flat.entries(), parents),
+                None => Ok(()),
             }
-        };
-        let view = match &layout.compressed {
-            None => {
-                let entries = cast_entries(&data[layout.entries.clone()]);
-                validate_hub_sort(layout.n, offsets, entries)?;
-                if let Some(parents) = parents {
-                    validate_parents(layout.n, offsets, entries, parents)?;
-                }
-                IndexView::flat(FlatView::from_validated_parts(order, offsets, entries))
-            }
-            Some(c) => {
-                let skip = cast_u64s(&data[c.skip.clone()]);
-                let blob = &data[c.blob_data.clone()];
-                validate_compressed_entries(skip, blob, offsets, parents, None)?;
-                IndexView::compressed(CompressedView::from_validated_compressed_parts(
-                    order, offsets, skip, blob,
-                ))
-            }
-        };
-        let view = match parents {
-            Some(parents) => view.with_parents(parents),
-            None => view,
-        };
-        Ok(match shard {
-            Some(s) => view.with_shard(s),
-            None => view,
-        })
+        }
+        StorageView::Compressed(compressed) => {
+            let (skip, blob) = compressed.encoded_parts();
+            validate_compressed_entries(skip, blob, offsets, parents, None)
+        }
     }
 }
 
@@ -2090,80 +2058,6 @@ pub fn view_bytes(data: &[u8]) -> Result<FlatView<'_>, PersistError> {
             reason: "entries section is delta+varint compressed; serve it through \
                      open_view / MmapIndex or load it with the copying reader",
         }),
-    }
-}
-
-/// Rebuilds the view over a buffer that [`open_view`] has already fully
-/// validated, skipping every check. Used by `MmapIndex` to hand out views
-/// per query without re-walking the file.
-///
-/// # Safety
-///
-/// `data` must be byte-identical to a buffer `open_view` previously
-/// accepted with these exact `n`/`m`/`version`/`compressed`/`paths`/
-/// `sharded` parameters, with the same 8-byte-aligned base-address
-/// guarantee still holding.
-pub(crate) unsafe fn view_assuming_valid(
-    data: &[u8],
-    n: usize,
-    m: usize,
-    version: u32,
-    compressed: bool,
-    paths: bool,
-    sharded: bool,
-) -> IndexView<'_> {
-    #[cfg(target_endian = "little")]
-    {
-        let layout = layout_v2(
-            n as u64, m as u64, version, compressed, paths, sharded, data,
-        )
-        .expect("dimensions were validated at open time");
-        let order = cast_u32s(&data[layout.ranking_data.clone()]);
-        let offsets = cast_u64s(&data[layout.offsets.clone()]);
-        let parents = layout
-            .paths
-            .as_ref()
-            .map(|p| cast_u32s(&data[p.data.clone()]));
-        let shard = layout.shard.as_ref().map(|s| {
-            let mut cur = Cursor::new(data);
-            cur.seek(s.data.start);
-            let shard_id = cur.get_u32();
-            let shard_count = cur.get_u32();
-            let zeta = cur.get_u32();
-            cur.take(4); // owned_count, implied by the array length
-            ShardView {
-                shard_id,
-                shard_count,
-                zeta,
-                owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
-            }
-        });
-        let view = match &layout.compressed {
-            None => {
-                let entries = cast_entries(&data[layout.entries.clone()]);
-                IndexView::flat(FlatView::from_validated_parts(order, offsets, entries))
-            }
-            Some(c) => {
-                let skip = cast_u64s(&data[c.skip.clone()]);
-                let blob = &data[c.blob_data.clone()];
-                IndexView::compressed(CompressedView::from_validated_compressed_parts(
-                    order, offsets, skip, blob,
-                ))
-            }
-        };
-        let view = match parents {
-            Some(parents) => view.with_parents(parents),
-            None => view,
-        };
-        match shard {
-            Some(s) => view.with_shard(s),
-            None => view,
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let _ = (data, n, m, version, compressed, paths, sharded);
-        unreachable!("open_view never validates a buffer on a big-endian host");
     }
 }
 
@@ -2257,9 +2151,8 @@ pub fn save<P: AsRef<Path>>(index: &FlatIndex, path: P) -> Result<(), PersistErr
     save_with(index, path, &SaveOptions::default())
 }
 
-/// Writes `index` to `path` in the `.chl` format under explicit
-/// [`SaveOptions`] (`compress: true` for the delta+varint entries section,
-/// `version` for the legacy v2 layout).
+/// Writes `index` to `path` in the v3 `.chl` format under explicit
+/// [`SaveOptions`] (`compress: true` for the delta+varint entries section).
 pub fn save_with<P: AsRef<Path>>(
     index: &FlatIndex,
     path: P,
@@ -2339,6 +2232,16 @@ mod tests {
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
             ranking,
         ))
+    }
+
+    // The frozen legacy files of the golden corpus (no writer can produce
+    // v1 or v2 bytes any more), and the v3 file of the same index.
+    const GOLDEN_V1: &[u8] = include_bytes!("../tests/fixtures/golden.v1.chl");
+    const GOLDEN_V2_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v2-flat.chl");
+    const GOLDEN_V3_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v3-flat.chl");
+
+    fn golden() -> FlatIndex {
+        from_bytes(GOLDEN_V3_FLAT).unwrap()
     }
 
     /// Recomputes and patches a forged v3 buffer's header CRC so a test can
@@ -2452,9 +2355,7 @@ mod tests {
         let flat = tiny_flat().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
         assert!(flat.has_path_data());
 
-        // A path section is v3-only, so the writer upgrades even an explicit
-        // v2 request.
-        let bytes = to_bytes_with(&flat, &SaveOptions::v2());
+        let bytes = to_bytes(&flat);
         let header = parse_header(&bytes).unwrap();
         assert_eq!(header.version, VERSION);
         assert!(header.is_paths());
@@ -2464,7 +2365,7 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.parents(), flat.parents());
         assert_eq!(back, flat);
-        assert_eq!(to_bytes_with(&back, &SaveOptions::v2()), bytes);
+        assert_eq!(to_bytes(&back), bytes);
 
         // Zero-copy opens see the same parents, flat and compressed alike.
         let aligned = AlignedBytes::from_slice(&bytes);
@@ -2552,13 +2453,11 @@ mod tests {
 
     #[test]
     fn v1_bytes_still_load_through_the_copying_path() {
-        let flat = tiny_flat();
-        let v1 = to_bytes_v1(&flat);
-        let back = from_bytes(&v1).unwrap();
-        assert_eq!(back, flat);
-        assert_eq!(parse_header(&v1).unwrap().version, VERSION_V1);
+        let back = from_bytes(GOLDEN_V1).unwrap();
+        assert_eq!(back, golden());
+        assert_eq!(parse_header(GOLDEN_V1).unwrap().version, VERSION_V1);
         // ...but cannot back a zero-copy view.
-        let aligned = AlignedBytes::from_slice(&v1);
+        let aligned = AlignedBytes::from_slice(GOLDEN_V1);
         assert!(matches!(
             view_bytes(&aligned),
             Err(PersistError::NotZeroCopy { version: 1 })
@@ -2580,17 +2479,15 @@ mod tests {
         assert_eq!(header.crc_header, crc32(&bytes[..HEADER_LEN_V3 - 4]));
         assert!(!header.is_sharded());
 
-        let v2 = to_bytes_with(&flat, &SaveOptions::v2());
-        let header = parse_header(&v2).unwrap();
+        let header = parse_header(GOLDEN_V2_FLAT).unwrap();
         assert_eq!(header.version, VERSION_V2);
         assert_eq!(header.header_len(), HEADER_LEN_V2);
-        assert_eq!(header.expected_file_len(), Some(v2.len()));
+        assert_eq!(header.expected_file_len(), Some(GOLDEN_V2_FLAT.len()));
         assert_eq!(header.crc_header, 0);
 
-        let v1 = to_bytes_v1(&flat);
-        let header = parse_header(&v1).unwrap();
+        let header = parse_header(GOLDEN_V1).unwrap();
         assert_eq!(header.header_len(), HEADER_LEN_V1);
-        assert_eq!(header.expected_file_len(), Some(v1.len()));
+        assert_eq!(header.expected_file_len(), Some(GOLDEN_V1.len()));
         assert!(matches!(header.checksums, Checksums::WholePayload(_)));
     }
 
@@ -3292,10 +3189,6 @@ mod tests {
             Err(PersistError::Unviewable { .. })
         ));
 
-        // A sharded index cannot be written as v2 — the writer upgrades.
-        let forced_v2 = to_bytes_with(&flat, &SaveOptions::v2());
-        assert_eq!(parse_header(&forced_v2).unwrap().version, VERSION);
-
         // Compressed + sharded composes.
         let comp = to_bytes_with(&flat, &SaveOptions::compressed());
         let h = parse_header(&comp).unwrap();
@@ -3409,11 +3302,11 @@ mod tests {
 
     #[test]
     fn v2_header_corruption_reports_the_caveat() {
-        // Write a genuine v2 file (no header CRC), corrupt a header byte:
+        // Take a genuine v2 file (no header CRC), corrupt a header byte:
         // the error is still typed, and its message points at the v2 gap.
-        let bytes = to_bytes_with(&tiny_flat(), &SaveOptions::v2());
-        assert_eq!(parse_header(&bytes).unwrap().version, VERSION_V2);
-        let mut bad = bytes.clone();
+        let bytes = GOLDEN_V2_FLAT;
+        assert_eq!(parse_header(bytes).unwrap().version, VERSION_V2);
+        let mut bad = bytes.to_vec();
         bad[8] ^= 0x01; // n's low byte
         let err = from_bytes(&bad).unwrap_err();
         assert!(
@@ -3421,6 +3314,6 @@ mod tests {
             "unexpected: {err}"
         );
         // Uncorrupted v2 still loads cleanly.
-        assert_eq!(from_bytes(&bytes).unwrap(), tiny_flat());
+        assert_eq!(from_bytes(bytes).unwrap(), golden());
     }
 }

@@ -24,13 +24,13 @@
 //!   redundant labels.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use chl_graph::sssp::heap::DistanceQueue;
 use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
@@ -293,6 +293,9 @@ pub(crate) fn plant_labeling_impl(
     let threads = config.effective_threads().max(1);
     let table = ConcurrentLabelTable::new(n);
     let next_root = AtomicU32::new(0);
+    // Each worker takes this lock once, for one extend, so a poisoned lock
+    // still holds whole values; poisoning is ignored and a worker's panic
+    // propagates out of the thread scope.
     let records = Mutex::new(Vec::with_capacity(n));
     let common = CommonLabelTable::empty(n);
 
@@ -324,14 +327,17 @@ pub(crate) fn plant_labeling_impl(
                     }
                     local_records.push(tree.record());
                 }
-                records.lock().extend(local_records);
+                records
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(local_records);
             });
         }
     });
 
     let mut stats = ConstructionStats::new("PLaNT");
     stats.threads = threads;
-    stats.spt_records = records.into_inner();
+    stats.spt_records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
     stats.planted_trees = n;
     stats.construction_time = start.elapsed();
     stats.total_time = start.elapsed();

@@ -15,7 +15,7 @@
 //! append labels to" so the pruned-Dijkstra kernel can serve PLL, paraPLL,
 //! LCC and GLL unchanged.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use chl_graph::types::VertexId;
 
@@ -27,6 +27,13 @@ pub trait LabelAccess: Sync {
     fn collect_labels(&self, v: VertexId, out: &mut Vec<LabelEntry>);
     /// Records a freshly generated label for `v`.
     fn append(&self, v: VertexId, entry: LabelEntry);
+}
+
+/// Locks one slot of a [`ConcurrentLabelTable`]. Every critical section is
+/// one push, copy or take, so a slot whose holder panicked still holds a
+/// whole vector and poisoning is ignored.
+fn lock(slot: &Mutex<Vec<LabelEntry>>) -> MutexGuard<'_, Vec<LabelEntry>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A per-vertex label table safe for concurrent appends and reads.
@@ -50,34 +57,34 @@ impl ConcurrentLabelTable {
 
     /// Appends a label to `v`.
     pub fn append(&self, v: VertexId, entry: LabelEntry) {
-        self.slots[v as usize].lock().push(entry);
+        lock(&self.slots[v as usize]).push(entry);
     }
 
     /// Copies the labels of `v` into `out`.
     pub fn collect_into(&self, v: VertexId, out: &mut Vec<LabelEntry>) {
-        out.extend_from_slice(&self.slots[v as usize].lock());
+        out.extend_from_slice(&lock(&self.slots[v as usize]));
     }
 
     /// Returns a snapshot of the labels of `v`.
     pub fn snapshot(&self, v: VertexId) -> Vec<LabelEntry> {
-        self.slots[v as usize].lock().clone()
+        lock(&self.slots[v as usize]).clone()
     }
 
     /// Number of labels currently stored for `v`.
     pub fn len_of(&self, v: VertexId) -> usize {
-        self.slots[v as usize].lock().len()
+        lock(&self.slots[v as usize]).len()
     }
 
     /// Total number of labels across all vertices.
     pub fn total_labels(&self) -> usize {
-        self.slots.iter().map(|s| s.lock().len()).sum()
+        self.slots.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Drains the table into per-vertex raw entry vectors, leaving it empty.
     pub fn drain_all(&self) -> Vec<Vec<LabelEntry>> {
         self.slots
             .iter()
-            .map(|s| std::mem::take(&mut *s.lock()))
+            .map(|s| std::mem::take(&mut *lock(s)))
             .collect()
     }
 
@@ -85,7 +92,7 @@ impl ConcurrentLabelTable {
     pub fn into_label_sets(self) -> Vec<LabelSet> {
         self.slots
             .into_iter()
-            .map(|s| LabelSet::from_entries(s.into_inner()))
+            .map(|s| LabelSet::from_entries(s.into_inner().unwrap_or_else(PoisonError::into_inner)))
             .collect()
     }
 }

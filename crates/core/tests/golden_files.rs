@@ -1,15 +1,17 @@
 //! Golden-file corpus for the `.chl` format: one small deterministic graph,
-//! checked in as v1, v2-flat, v2-compressed, v3-flat, v3-compressed and
-//! three v3 shard files together with its full pinned distance table. Every
-//! fixture must keep loading through every applicable path and answering
-//! the pinned table byte-identically, and re-serializing a loaded fixture
-//! must reproduce its bytes exactly — so any accidental format drift in a
-//! future PR fails here before it ships.
+//! checked in as v1, v2-flat, v2-compressed, v3-flat, v3-compressed, two
+//! v3 path-section files and three v3 shard files, together with its full
+//! pinned distance and path tables. Every fixture must keep loading through
+//! every applicable path and answering the pinned tables byte-identically,
+//! and re-serializing a loaded v3 fixture must reproduce its bytes exactly —
+//! so any accidental format drift fails here before it ships.
 //!
-//! Compat policy: v1 and v2 are frozen. The checked-in v1/v2 byte streams
-//! never change, keep loading forever, and `SaveOptions::v2` keeps
-//! reproducing them bit-for-bit; new capabilities (header CRC, shard
-//! section) exist only in v3.
+//! Compat policy: v1 and v2 are frozen and read-only. Only v3 is written,
+//! so the checked-in v1/v2 byte streams are the only v1/v2 files there are:
+//! they keep loading forever, their length and CRC-32 are pinned below so
+//! nothing rewrites them by accident, and `proptest_persist.rs` flips every
+//! one of their bytes against the readers. New capabilities (header CRC,
+//! shard and path sections) exist only in v3.
 //!
 //! The shard fixtures pin the QDOL layout for 3 shards over 16 vertices
 //! (ζ = 3, contiguous chunks of 6). The owned sets hard-coded here are
@@ -18,7 +20,8 @@
 //! which keeps this crate free of a dev-dependency cycle while tying the
 //! fixtures to the code that produces real shard files.
 //!
-//! Regenerating (only when the format changes *on purpose*):
+//! Regenerating the v3 fixtures and the pinned tables (only when the format
+//! changes *on purpose*; the v1/v2 files are never regenerated):
 //!
 //! ```text
 //! CHL_REGEN_FIXTURES=1 cargo test -p chl-core --test golden_files
@@ -138,20 +141,6 @@ fn path_table(index: &FlatIndex) -> String {
 fn regen(dir: &Path) {
     let golden = build_golden();
     std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(dir.join("golden.v1.chl"), persist::to_bytes_v1(&golden)).unwrap();
-    std::fs::write(
-        dir.join("golden.v2-flat.chl"),
-        golden.to_bytes_with(&SaveOptions::v2()),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("golden.v2-compressed.chl"),
-        golden.to_bytes_with(&SaveOptions {
-            compress: true,
-            version: persist::VERSION_V2,
-        }),
-    )
-    .unwrap();
     std::fs::write(dir.join("golden.v3-flat.chl"), golden.to_bytes()).unwrap();
     std::fs::write(
         dir.join("golden.v3-compressed.chl"),
@@ -251,14 +240,8 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     let v1_bytes = std::fs::read(dir.join("golden.v1.chl")).unwrap();
     let v1 = FlatIndex::from_bytes(&v1_bytes).expect("v1 fixture loads");
     assert_answers(&table, "v1 copy-load", |u, v| v1.query(u, v));
-    assert_eq!(
-        persist::to_bytes_v1(&v1),
-        v1_bytes,
-        "re-serializing the loaded v1 fixture must be byte-identical"
-    );
 
-    // v2 flat: copy-load, zero-copy view and mmap. The frozen v2 stream
-    // keeps loading and `SaveOptions::v2` keeps reproducing it.
+    // v2 flat: copy-load, zero-copy view and mmap.
     let flat_path = dir.join("golden.v2-flat.chl");
     let flat_bytes = std::fs::read(&flat_path).unwrap();
     let flat = FlatIndex::from_bytes(&flat_bytes).expect("v2-flat fixture loads");
@@ -269,11 +252,6 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     let mapped = MmapIndex::open(&flat_path).expect("v2-flat fixture maps");
     assert!(!mapped.is_compressed());
     assert_answers(&table, "v2-flat mmap", |u, v| mapped.view().query(u, v));
-    assert_eq!(
-        flat.to_bytes_with(&SaveOptions::v2()),
-        flat_bytes,
-        "re-serializing the loaded v2-flat fixture must be byte-identical"
-    );
 
     // v2 compressed: decode-on-load, streaming view and mmap.
     let comp_path = dir.join("golden.v2-compressed.chl");
@@ -289,14 +267,6 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     assert_answers(&table, "v2-compressed mmap", |u, v| {
         mapped.view().query(u, v)
     });
-    assert_eq!(
-        comp.to_bytes_with(&SaveOptions {
-            compress: true,
-            version: persist::VERSION_V2,
-        }),
-        comp_bytes,
-        "re-serializing the loaded v2-compressed fixture must be byte-identical"
-    );
 
     // v3 flat: the default writer's output, with the header CRC.
     let v3_path = dir.join("golden.v3-flat.chl");
@@ -358,6 +328,22 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
         comp_bytes.len(),
         flat_bytes.len()
     );
+}
+
+#[test]
+fn legacy_fixtures_are_frozen() {
+    // No writer can reproduce these files, so their bytes are pinned
+    // directly: (file, length, CRC-32 of the whole file).
+    let dir = fixtures_dir();
+    for (name, len, crc) in [
+        ("golden.v1.chl", 1032, 0xDB82_3F69),
+        ("golden.v2-flat.chl", 1312, 0xC88C_1FBA),
+        ("golden.v2-compressed.chl", 512, 0xAB7F_654A),
+    ] {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(bytes.len(), len, "{name} length");
+        assert_eq!(persist::crc32(&bytes), crc, "{name} CRC-32");
+    }
 }
 
 #[test]

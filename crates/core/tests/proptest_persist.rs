@@ -5,8 +5,14 @@
 //! encodings (flat records and delta+varint compressed); flat↔compressed
 //! round trips are lossless and re-encoding is byte-stable; and random
 //! single-byte corruption (anywhere in the file, skip table and padding
-//! included) never loads successfully and never panics, in either format
-//! version and either encoding.
+//! included) never loads successfully and never panics, in either encoding.
+//!
+//! The legacy v1/v2 formats are read-only, so their files cannot be
+//! generated per case: their coverage runs over the frozen golden fixtures
+//! instead, exhaustively — every byte of each file flipped, through every
+//! loader that accepts the version.
+
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
@@ -32,7 +38,7 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
         })
 }
 
-fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+fn scratch_file(tag: &str, bytes: &[u8]) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
         "chl-proptest-{}-{:?}-{tag}.chl",
         std::process::id(),
@@ -64,17 +70,6 @@ proptest! {
                 prop_assert_eq!(reloaded.query_with_hub(u, v), index.query_with_hub(u, v));
             }
         }
-    }
-
-    #[test]
-    fn v1_round_trip_is_query_identical(g in arb_graph()) {
-        // Legacy files keep loading through the copying path, losslessly.
-        let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
-        let reloaded = FlatIndex::from_bytes(&persist::to_bytes_v1(&flat))
-            .expect("v1 bytes load");
-        prop_assert_eq!(&reloaded, &flat);
     }
 
     #[test]
@@ -200,14 +195,77 @@ proptest! {
         prop_assert!(MmapIndex::open(&path).is_err(), "mmap, flip at byte {}", pos);
         std::fs::remove_file(&path).ok();
     }
+}
 
-    #[test]
-    fn single_byte_corruption_never_loads_v1(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
-        let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let mut bytes = persist::to_bytes_v1(&FlatIndex::from_index(&index));
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "flip at byte {}", pos);
+fn fixture(name: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(path).expect("golden fixture present")
+}
+
+/// Every byte of `bytes`, XORed with each flip value in turn.
+fn single_byte_flips(bytes: &[u8]) -> impl Iterator<Item = (usize, u8, Vec<u8>)> + '_ {
+    (0..bytes.len()).flat_map(move |pos| {
+        [0x01u8, 0x80, 0xFF].into_iter().map(move |flip| {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos] ^= flip;
+            (pos, flip, corrupt)
+        })
+    })
+}
+
+#[test]
+fn v1_round_trip_is_query_identical() {
+    // The frozen v1 file loads through the copying path into exactly the
+    // index its v3 sibling holds.
+    let v1 = FlatIndex::from_bytes(&fixture("golden.v1.chl")).expect("v1 fixture loads");
+    let v3 = FlatIndex::from_bytes(&fixture("golden.v3-flat.chl")).expect("v3 fixture loads");
+    assert_eq!(v1, v3);
+    let n = v3.num_vertices() as u32;
+    for u in 0..n + 2 {
+        for v in 0..n + 2 {
+            assert_eq!(v1.query(u, v), v3.query(u, v), "({u}, {v})");
+            assert_eq!(v1.query_with_hub(u, v), v3.query_with_hub(u, v));
+        }
+    }
+}
+
+#[test]
+fn single_byte_corruption_never_loads_v1() {
+    // v1 only loads through the copying path; a flip anywhere — header,
+    // whole-payload CRC, payload — must be a typed error, never a panic.
+    for (pos, flip, corrupt) in single_byte_flips(&fixture("golden.v1.chl")) {
+        assert!(
+            FlatIndex::from_bytes(&corrupt).is_err(),
+            "copy-load, byte {pos} ^ {flip:#04x}"
+        );
+    }
+}
+
+#[test]
+fn single_byte_corruption_never_loads_v2() {
+    // A v2 header has no CRC of its own, so header flips must be caught by
+    // the length, flags, section-checksum or semantic checks, on the
+    // copying loader, the borrowed view and the mmap open alike.
+    for name in ["golden.v2-flat.chl", "golden.v2-compressed.chl"] {
+        let path = scratch_file("v2-corrupt", b"");
+        for (pos, flip, corrupt) in single_byte_flips(&fixture(name)) {
+            assert!(
+                FlatIndex::from_bytes(&corrupt).is_err(),
+                "{name} copy-load, byte {pos} ^ {flip:#04x}"
+            );
+            let aligned = AlignedBytes::from_slice(&corrupt);
+            assert!(
+                persist::open_view(&aligned).is_err(),
+                "{name} open_view, byte {pos} ^ {flip:#04x}"
+            );
+            std::fs::write(&path, &corrupt).unwrap();
+            assert!(
+                MmapIndex::open(&path).is_err(),
+                "{name} mmap, byte {pos} ^ {flip:#04x}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

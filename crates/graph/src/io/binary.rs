@@ -15,7 +15,6 @@
 //! reader can rebuild (and thereby re-validate) the CSR through the ordinary
 //! [`GraphBuilder`] path.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 
 use crate::builder::GraphBuilder;
@@ -24,66 +23,90 @@ use crate::error::GraphError;
 
 const MAGIC: &[u8; 4] = b"CHLG";
 const VERSION: u32 = 1;
+/// Bytes before the edge records: magic, version, kind, `n` and `m`.
+const HEADER_LEN: usize = 25;
+/// Bytes per edge record: `u`, `v` and `w` as `u32`s.
+const EDGE_LEN: usize = 12;
 
 /// Serializes `g` into a byte buffer.
-pub fn to_bytes(g: &CsrGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(21 + g.num_edges() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u8(match g.kind() {
+pub fn to_bytes(g: &CsrGraph) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + g.num_edges() * EDGE_LEN);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(match g.kind() {
         GraphKind::Undirected => 0,
         GraphKind::Directed => 1,
     });
-    buf.put_u64_le(g.num_vertices() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
+    buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
     for e in g.edges() {
-        buf.put_u32_le(e.u);
-        buf.put_u32_le(e.v);
-        buf.put_u32_le(e.w);
+        buf.extend_from_slice(&e.u.to_le_bytes());
+        buf.extend_from_slice(&e.v.to_le_bytes());
+        buf.extend_from_slice(&e.w.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
-/// Deserializes a graph from a byte buffer produced by [`to_bytes`].
-pub fn from_bytes(mut data: Bytes) -> Result<CsrGraph, GraphError> {
-    if data.remaining() < 25 {
+/// The little-endian `u32` at `data[at..at + 4]`; `at` is in bounds.
+fn u32_at(data: &[u8], at: usize) -> u32 {
+    let mut word = [0u8; 4];
+    word.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(word)
+}
+
+/// The little-endian `u64` at `data[at..at + 8]`; `at` is in bounds.
+fn u64_at(data: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// Deserializes a graph from a byte buffer produced by [`to_bytes`]. The
+/// buffer must be exactly as long as its header says: a short or padded
+/// buffer, or an edge count whose size overflows, is
+/// [`GraphError::Corrupt`].
+pub fn from_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
+    if data.len() < HEADER_LEN {
         return Err(GraphError::Corrupt("snapshot shorter than header".into()));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &data[..4] != MAGIC {
         return Err(GraphError::Corrupt("bad magic".into()));
     }
-    let version = data.get_u32_le();
+    let version = u32_at(data, 4);
     if version != VERSION {
         return Err(GraphError::Corrupt(format!(
             "unsupported version {version}"
         )));
     }
-    let kind = match data.get_u8() {
+    let kind = match data[8] {
         0 => GraphKind::Undirected,
         1 => GraphKind::Directed,
         other => return Err(GraphError::Corrupt(format!("unknown graph kind {other}"))),
     };
-    let n = data.get_u64_le() as usize;
-    let m = data.get_u64_le() as usize;
-    if data.remaining() < m * 12 {
+    let n = u64_at(data, 9);
+    let m = u64_at(data, 17);
+    let found = data.len() - HEADER_LEN;
+    let expected = m
+        .checked_mul(EDGE_LEN as u64)
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or_else(|| {
+            GraphError::Corrupt(format!("edge count {m} overflows the addressable size"))
+        })?;
+    if found != expected {
         return Err(GraphError::Corrupt(format!(
-            "expected {} bytes of edge data, found {}",
-            m * 12,
-            data.remaining()
+            "expected {expected} bytes of edge data, found {found}"
         )));
+    }
+    if n > u64::from(u32::MAX) {
+        return Err(GraphError::TooManyVertices(n));
     }
     let mut builder = match kind {
         GraphKind::Undirected => GraphBuilder::new_undirected(),
         GraphKind::Directed => GraphBuilder::new_directed(),
     };
-    builder.ensure_vertices(n);
-    for _ in 0..m {
-        let u = data.get_u32_le();
-        let v = data.get_u32_le();
-        let w = data.get_u32_le();
-        builder.add_edge(u, v, w);
+    builder.ensure_vertices(n as usize);
+    for edge in data[HEADER_LEN..].chunks_exact(EDGE_LEN) {
+        builder.add_edge(u32_at(edge, 0), u32_at(edge, 4), u32_at(edge, 8));
     }
     builder.build()
 }
@@ -98,7 +121,7 @@ pub fn write_binary<W: Write>(g: &CsrGraph, mut writer: W) -> Result<(), GraphEr
 pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     let mut data = Vec::new();
     reader.read_to_end(&mut data)?;
-    from_bytes(Bytes::from(data))
+    from_bytes(&data)
 }
 
 #[cfg(test)]
@@ -117,7 +140,7 @@ mod tests {
             2,
         );
         let bytes = to_bytes(&g);
-        let back = from_bytes(bytes).unwrap();
+        let back = from_bytes(&bytes).unwrap();
         assert_eq!(g, back);
     }
 
@@ -128,7 +151,7 @@ mod tests {
         b.add_edge(1, 2, 4);
         b.add_edge(2, 0, 5);
         let g = b.build().unwrap();
-        let back = from_bytes(to_bytes(&g)).unwrap();
+        let back = from_bytes(&to_bytes(&g)).unwrap();
         assert_eq!(g, back);
     }
 
@@ -143,7 +166,7 @@ mod tests {
 
     #[test]
     fn corrupt_inputs_are_rejected() {
-        assert!(from_bytes(Bytes::from_static(b"short")).is_err());
+        assert!(from_bytes(b"short").is_err());
 
         let g = grid_network(
             &GridOptions {
@@ -153,16 +176,51 @@ mod tests {
             },
             0,
         );
-        let mut bytes = to_bytes(&g).to_vec();
+        let mut bytes = to_bytes(&g);
         bytes[0] = b'X'; // break magic
-        assert!(from_bytes(Bytes::from(bytes)).is_err());
+        assert!(from_bytes(&bytes).is_err());
 
-        let mut truncated = to_bytes(&g).to_vec();
+        let mut truncated = to_bytes(&g);
         truncated.truncate(truncated.len() - 5);
-        assert!(from_bytes(Bytes::from(truncated)).is_err());
+        assert!(from_bytes(&truncated).is_err());
 
-        let mut bad_version = to_bytes(&g).to_vec();
+        let mut bad_version = to_bytes(&g);
         bad_version[4] = 99;
-        assert!(from_bytes(Bytes::from(bad_version)).is_err());
+        assert!(from_bytes(&bad_version).is_err());
+
+        let mut padded = to_bytes(&g);
+        padded.push(0);
+        assert!(matches!(from_bytes(&padded), Err(GraphError::Corrupt(_))));
+    }
+
+    #[test]
+    fn hostile_edge_counts_are_corrupt_not_a_panic() {
+        // m * 12 wraps to 8 in 64-bit arithmetic: a length check done with
+        // unchecked multiplication accepts the 24 trailing bytes, and the
+        // record loop then reads past their end.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&0x1555_5555_5555_5556u64.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 24]);
+        assert!(matches!(
+            read_binary(bytes.as_slice()),
+            Err(GraphError::Corrupt(_))
+        ));
+
+        // An edge count whose byte size does not fit u64 at all.
+        bytes[17..25].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&bytes), Err(GraphError::Corrupt(_))));
+
+        // A vertex count beyond the u32 id space is refused before the
+        // builder is asked to allocate for it.
+        let mut huge_n = to_bytes(&GraphBuilder::new_undirected().build().unwrap());
+        huge_n[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            from_bytes(&huge_n),
+            Err(GraphError::TooManyVertices(_))
+        ));
     }
 }

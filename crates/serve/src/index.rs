@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use chl_core::flat::FlatIndex;
 use chl_core::kernel::HotHubCache;
@@ -221,7 +221,11 @@ pub struct SharedIndex {
     path: PathBuf,
     mmap: bool,
     hot_hubs: u32,
-    current: parking_lot::RwLock<Arc<LoadedIndex>>,
+    /// The serving generation. Poisoning is ignored: every critical section
+    /// is one `Arc` clone or store, so the value is whole even after a
+    /// holder panicked, and one panicked RELOAD must not turn every later
+    /// request into a panic.
+    current: RwLock<Arc<LoadedIndex>>,
     generation: AtomicU64,
 }
 
@@ -244,7 +248,7 @@ impl SharedIndex {
             path,
             mmap,
             hot_hubs,
-            current: parking_lot::RwLock::new(Arc::new(loaded)),
+            current: RwLock::new(Arc::new(loaded)),
             generation: AtomicU64::new(0),
         })
     }
@@ -257,7 +261,7 @@ impl SharedIndex {
             path: path.as_ref().to_path_buf(),
             mmap,
             hot_hubs: loaded.hot_hubs(),
-            current: parking_lot::RwLock::new(Arc::new(loaded)),
+            current: RwLock::new(Arc::new(loaded)),
             generation: AtomicU64::new(0),
         }
     }
@@ -276,7 +280,7 @@ impl SharedIndex {
     /// lock. Callers answer a whole batch from one snapshot so a concurrent
     /// reload can never change answers mid-batch.
     pub fn snapshot(&self) -> Arc<LoadedIndex> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Reload generation counter: 0 until the first successful
@@ -302,7 +306,7 @@ impl SharedIndex {
             self.mmap,
             self.hot_hubs,
         )?);
-        let mut current = self.current.write();
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         *current = fresh;
         // ORDERING: monotonic stats counter; the swap above is what readers
         // synchronize on (via the RwLock), not this value.
@@ -415,5 +419,31 @@ mod tests {
 
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(shared.reload(), Err(PersistError::Io(_))));
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_later_requests() {
+        let flat = tiny_flat();
+        let path = temp_path("poison");
+        flat.save(&path).unwrap();
+        let shared = SharedIndex::open(&path, false).unwrap();
+
+        // A thread that panics while holding the write lock poisons a std
+        // RwLock; snapshots and reloads must keep working regardless.
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = shared.current.write();
+                    panic!("simulated failure mid-swap");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(shared.current.is_poisoned());
+        assert_eq!(shared.snapshot().oracle().distance(0, 2), 2);
+        assert_eq!(shared.reload().unwrap(), 1);
+        assert_eq!(shared.info().generation, 1);
+
+        std::fs::remove_file(&path).unwrap();
     }
 }
